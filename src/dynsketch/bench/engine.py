@@ -195,21 +195,58 @@ def pairwise_true_jaccard(pack: SupportPack) -> tuple[np.ndarray, np.ndarray]:
     return jac[rows, cols], both_empty
 
 
+# Product entries one row block of pairwise_estimates may hold. Blocks are cut
+# on an upper bound of each row's entries, so memory stays bounded however
+# dense the collisions are.
+_ESTIMATE_BLOCK_ENTRIES = 1 << 13
+
+
 def pairwise_estimates(h: np.ndarray) -> np.ndarray:
-    """Condensed (i < j) collision-fraction estimates from a hash matrix."""
-    p = h.shape[0]
-    chunks = []
-    for i in range(p - 1):
-        row = h[i]
-        rest = h[i + 1 :]
-        collisions = ((rest == row) & (row != 0)).sum(axis=1)
-        comparable = (~((rest == 0) & (row == 0))).sum(axis=1)
-        chunks.append(
-            np.where(comparable > 0, collisions / np.maximum(comparable, 1), 0.0)
-        )
-    if not chunks:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate(chunks)
+    """Condensed (i < j) collision-fraction estimates from a hash matrix.
+
+    Column c of a pair collides when both rows hold the same nonzero value,
+    and is comparable unless both rows hold 0; the estimate is collisions
+    over comparable columns. Each distinct (column, value) is one column of a
+    sparse one-hot P x G matrix, weighted 1 for a nonzero value and K + 1 for
+    0, so one sparse product gives ``collisions + (K + 1) * both_zero`` per
+    pair, both parts at most K. Pairs without a collision keep the estimate 0.
+    """
+    p, k = h.shape
+    out = np.zeros(p * (p - 1) // 2, dtype=np.float64)
+    if p < 2 or k == 0:
+        return out
+    ht = h.T
+    order = np.argsort(ht, axis=1)
+    ordered = np.take_along_axis(ht, order, axis=1).ravel()
+    order = order.ravel()
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    first[::p] = True  # every hash column starts new groups
+    starts = np.append(np.flatnonzero(first), ordered.size)
+    del first  # the dels below free each P x K buffer once used, to lower the peak
+    # Row i has at most as many product entries as its K groups have rows.
+    sizes = np.diff(starts)
+    bound = np.bincount(order, weights=np.repeat(sizes, sizes), minlength=p)
+    del sizes
+    # (G x P) CSR: group g lists the rows holding its value, each weighted
+    # by whether that value is 0. The one-hot P x G factor is its transpose.
+    shape = (starts.size - 1, p)
+    weighted_t = sparse.csr_matrix((np.where(ordered == 0, k + 1, 1), order, starts), shape=shape)
+    del ordered
+    onehot = sparse.csr_matrix((np.ones(p * k, dtype=np.int8), order, starts), shape=shape).T.tocsr()
+    del order, starts
+    block = np.cumsum(np.minimum(bound[: p - 1], p)) // _ESTIMATE_BLOCK_ENTRIES
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1), p - 1]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        prod = onehot[lo:hi] @ weighted_t
+        i = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
+        j = prod.indices
+        collisions = prod.data % (k + 1)
+        keep = (j > i) & (collisions > 0)
+        i, j = i[keep], j[keep]
+        comparable = k - prod.data[keep] // (k + 1)
+        out[i * (2 * p - i - 1) // 2 + (j - i - 1)] = collisions[keep] / comparable
+    return out
 
 
 def rmse_condensed(estimates: np.ndarray, truth: np.ndarray, include: np.ndarray) -> float:

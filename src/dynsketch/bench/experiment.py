@@ -10,8 +10,10 @@ Three paths consume one shared workload:
   the original permutations are lifted/dropped instead, in which case the
   scratch sketches must equal the update-rule sketches slot for slot.
 
-Timing uses a monotonic clock, one discarded warm-up run, and the median of
-the remaining repetitions. Corpus loading, vector editing, and RMSE
+Timing uses a monotonic clock, one discarded warm-up run per path and batch
+size, and the median of the remaining repetitions, which are interleaved
+across paths and batch sizes so that drift in machine speed cancels in the
+ratios between them. Corpus loading, vector editing, and RMSE
 evaluation are excluded from the timed sections.
 """
 
@@ -147,15 +149,23 @@ def _fresh_scratch_seed(master_seed: int) -> int:
     return (master_seed ^ _SCRATCH_SEED_SALT) & _SEED_MASK
 
 
-def _timed(fn, repetitions: int):
-    fn()  # warm-up, discarded
-    times = []
-    result = None
-    for _ in range(repetitions):
-        start = perf_counter()
-        result = fn()
-        times.append(perf_counter() - start)
-    return result, tuple(times)
+def _timed(runners: dict, repetitions: int):
+    """Run every runner once as a discarded warm-up, then time ``repetitions``
+    rounds that each run every runner once.
+
+    Interleaving the rounds, and reversing the order on every other round,
+    spreads a drift in machine speed evenly over the runners, so it cancels
+    in the ratios between them. Returns the last result and the times of each.
+    """
+    results = {key: fn() for key, fn in runners.items()}
+    times = {key: [] for key in runners}
+    keys = list(runners)
+    for rep in range(repetitions):
+        for key in keys if rep % 2 == 0 else reversed(keys):
+            start = perf_counter()
+            results[key] = runners[key]()
+            times[key].append(perf_counter() - start)
+    return results, {key: tuple(t) for key, t in times.items()}
 
 
 def run_insertion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -192,8 +202,9 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         plan = draw_deletion_plan(dim, max_n, cfg.master_seed)
 
-    results = []
     checksums = {}
+    runners = {}
+    edits = {}
     for n in cfg.n_features:
         wl = plan.workload(n)
         checksums[n] = wl.checksum
@@ -205,32 +216,34 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
             edited = [delete_features(v, batch) for v in points]
             new_dim = dim - n
         epack = engine.pack_supports(edited)
+        edits[n] = (epack, new_dim)
+
+        n_runners = _path_runners(cfg, pack, epack, perms, base, batch, new_dim)
+        for path in cfg.paths:
+            # every path must consume the one drawn workload
+            if digest_batch(cfg.mode, batch) != wl.checksum:
+                raise AssertionError(f"workload drift on the {path} path")
+            runners[n, path] = n_runners[path]
+
+    finals, timings = _timed(runners, cfg.repetitions)
+
+    results = []
+    for n in cfg.n_features:
+        _assert_slot_identities(cfg, {path: finals[n, path] for path in cfg.paths})
+        # After timing, so that one post-edit truth is held at a time.
+        epack, new_dim = edits[n]
         if new_dim > 0:
             post_truth, post_empty = engine.pairwise_true_jaccard(epack)
         else:
             post_truth, post_empty = truth * 0.0, np.ones_like(both_empty)
         include_post = ~post_empty
-
-        runners = _path_runners(cfg, pack, epack, perms, base, batch, new_dim)
-        finals = {}
-        timings = {}
-        for path in cfg.paths:
-            # every path must consume the one drawn workload
-            if digest_batch(cfg.mode, batch) != wl.checksum:
-                raise AssertionError(f"workload drift on the {path} path")
-            final, times = _timed(runners[path], cfg.repetitions)
-            finals[path] = final
-            timings[path] = times
-
-        _assert_slot_identities(cfg, finals)
-
-        scratch_times = timings.get("scratch")
+        scratch_times = timings.get((n, "scratch"))
         for path in (p for p in PATHS if p in cfg.paths):
-            h = finals[path]
+            h = finals[n, path]
             est = engine.pairwise_estimates(h)
             row_rmse = engine.rmse_condensed(est, truth, include)
             row_rmse_post = engine.rmse_condensed(est, post_truth, include_post)
-            times = timings[path]
+            times = timings[n, path]
             seconds = statistics.median(times)
             speedup = speedup_max = speedup_mean = None
             if scratch_times is not None:

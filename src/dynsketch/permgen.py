@@ -6,6 +6,11 @@ every surviving rank. They are the exactness oracles for the constant-time
 sketch update rules in :mod:`dynsketch.sketch`: re-sketching an edited vector
 under the lifted/dropped permutation must reproduce the update rule's output
 bit for bit.
+
+``multiple_lift_perm``/``multiple_drop_perm`` carry a permutation across a
+whole batch as one closed-form rank map over the base ranks of the batch,
+in O(d + n) for d slots and n positions. They equal folding the single-step
+constructions once per position, which stay as the slow oracles.
 """
 
 from __future__ import annotations
@@ -85,12 +90,9 @@ def drop_perm(pi: Permutation, position: int) -> Permutation:
     return Permutation(out)
 
 
-def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
-    """Fold :func:`lift_perm` over a sorted batch of pre-insertion positions.
-
-    Insertion i (ascending) applies at the shifted slot ``positions[i] + i``
-    (0-based i) because earlier insertions have already widened the frame.
-    """
+def _batch_ranks(pi: Permutation, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Validated 0-based batch slots, and ``below[r]`` = #{w < r} for r in 0..d+1
+    over the base ranks W the batch positions hold."""
     positions = _as_positions(positions)
     if not positions:
         raise ValidationError("need at least one position")
@@ -98,26 +100,40 @@ def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
         raise ValidationError(
             f"position {positions[-1]} out of range for dimension {pi.dim}"
         )
-    out = pi
-    for i, m in enumerate(positions):
-        out = lift_perm(out, m + i)
-    return out
+    slots = np.fromiter(positions, dtype=np.int64, count=len(positions)) - 1
+    # A count table beats a binary search per rank: W is tiny next to d.
+    below = np.zeros(pi.dim + 2, dtype=np.int64)
+    below[pi.rank[slots] + 1] = 1
+    return slots, np.cumsum(below, out=below)
+
+
+def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
+    """Lift a permutation over a sorted batch of pre-insertion positions.
+
+    Equal to folding :func:`lift_perm` at the shifted slots ``positions[i] + i``
+    (0-based i), written as one rank map over the base ranks W of the batch:
+    an old rank r becomes r + #{w <= r}, and inserted element i lands at slot
+    ``positions[i] + i`` with rank w_i + #{w < w_i}.
+    """
+    slots, below = _batch_ranks(pi, positions)
+    base = pi.rank[slots]
+    rank = below[1:][pi.rank]  # #{w <= r}
+    rank += pi.rank
+    # np.insert puts value i before old slot i, i.e. at slot positions[i] + i.
+    rank = np.insert(rank, slots, base + below[base])
+    del below  # before Permutation copies and re-validates, to lower the peak
+    return Permutation(rank)
 
 
 def multiple_drop_perm(pi: Permutation, positions) -> Permutation:
-    """Fold :func:`drop_perm` over a sorted batch of pre-deletion positions.
+    """Drop a sorted batch of pre-deletion positions from a permutation.
 
-    Deletion i (ascending) applies at the shifted slot ``positions[i] - i``
-    (0-based i) because earlier deletions have already narrowed the frame.
+    Equal to folding :func:`drop_perm` at the shifted slots ``positions[i] - i``
+    (0-based i), written as one rank map over the base ranks W of the batch:
+    a surviving rank r becomes r - #{w < r}.
     """
-    positions = _as_positions(positions)
-    if not positions:
-        raise ValidationError("need at least one position")
-    if positions[-1] > pi.dim:
-        raise ValidationError(
-            f"position {positions[-1]} out of range for dimension {pi.dim}"
-        )
-    out = pi
-    for i, m in enumerate(positions):
-        out = drop_perm(out, m - i)
-    return out
+    slots, below = _batch_ranks(pi, positions)
+    rank = np.delete(pi.rank, slots)
+    rank -= below[rank]
+    del below  # as in multiple_lift_perm
+    return Permutation(rank)

@@ -78,3 +78,24 @@ def min_rank_brute(dense_bits, rank):
         if bit == 1 and (best is None or rank[i] < best):
             best = rank[i]
     return best
+
+
+def pairwise_estimates_loops(rows):
+    """Condensed (i < j) collision fractions, one pair and one slot at a time.
+
+    rows: hash rows as lists, 0 standing for EMPTY. A slot collides when both
+    rows hold the same nonzero value and counts unless both rows hold 0; a
+    pair with no counted slot estimates 0.
+    """
+    out = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            collisions = comparable = 0
+            for a, b in zip(rows[i], rows[j]):
+                if a == 0 and b == 0:
+                    continue
+                comparable += 1
+                if a == b:
+                    collisions += 1
+            out.append(collisions / comparable if comparable else 0.0)
+    return out

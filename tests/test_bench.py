@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynsketch.core import (
     DeletionBatch,
@@ -32,6 +33,8 @@ from dynsketch.bench import (
 )
 from dynsketch.bench import engine
 from dynsketch.bench.workload import draw_deletion_plan, draw_insertion_plan
+
+from _reference import pairwise_estimates_loops
 
 
 def random_points(rng, count, dim):
@@ -175,6 +178,59 @@ class TestEngineMatchesContracts:
                     ))
                 k += 1
         assert engine.rmse_condensed(est, truth, include) == pytest.approx(rmse(pairs))
+
+
+class TestPairwiseEstimatesExact:
+    """The sparse collision count equals the per-pair loop bit for bit."""
+
+    @staticmethod
+    def check(h):
+        h = np.asarray(h, dtype=np.int64)
+        p = h.shape[0]
+        est = engine.pairwise_estimates(h)
+        assert est.dtype == np.float64
+        assert est.shape == (p * (p - 1) // 2,)
+        expected = np.array(pairwise_estimates_loops(h.tolist()), dtype=np.float64)
+        assert np.array_equal(est, expected.reshape(est.shape))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_few_rows(self, p):
+        self.check(np.arange(1, 3 * p + 1).reshape(p, 3) % 2 + 1)
+
+    def test_all_zero_rows(self):
+        self.check(np.zeros((4, 5)))
+        self.check([[0, 0, 0], [1, 2, 3], [0, 0, 0], [1, 5, 3]])
+
+    def test_partly_zero_rows(self):
+        self.check([[0, 2, 3, 0], [1, 2, 0, 0], [0, 2, 3, 4], [1, 0, 0, 0]])
+
+    def test_value_shared_by_adjacent_columns(self):
+        # Column 0's largest value is column 1's smallest: equal values in
+        # different columns must not collide.
+        self.check([[1, 1, 2], [1, 2, 2]])
+        self.check([[0, 0, 5], [0, 3, 5], [4, 0, 0]])
+
+    @given(
+        st.integers(0, 24).flatmap(
+            lambda p: st.integers(1, 9).flatmap(
+                lambda k: st.lists(
+                    st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                    min_size=p,
+                    max_size=p,
+                ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(p, k))
+            )
+        ),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_heavy_collisions_across_row_blocks(self, h, block_entries):
+        # Small blocks make every example cross block boundaries.
+        saved = engine._ESTIMATE_BLOCK_ENTRIES
+        engine._ESTIMATE_BLOCK_ENTRIES = block_entries
+        try:
+            self.check(h)
+        finally:
+            engine._ESTIMATE_BLOCK_ENTRIES = saved
 
 
 class TestWorkloads:

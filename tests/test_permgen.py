@@ -185,3 +185,70 @@ class TestMultipleDropPerm:
             multiple_drop_perm(perm, (1, 4))
         with pytest.raises(ValidationError):
             multiple_lift_perm(perm, ())
+
+
+def _fold_loops(step, perm, slots):
+    rank = list(perm.as_tuple())
+    for slot in slots:
+        rank = step(rank, slot)
+    return rank
+
+
+def lift_oracle(perm, positions):
+    return _fold_loops(lift_perm_loops, perm, [m + i for i, m in enumerate(positions)])
+
+
+def drop_oracle(perm, positions):
+    return _fold_loops(drop_perm_loops, perm, [m - i for i, m in enumerate(positions)])
+
+
+@st.composite
+def perm_and_any_batch(draw, max_dim=30):
+    """Any non-empty sorted batch, up to every position of the permutation."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    perm = random_permutation(dim, PermutationSeed(seed))
+    positions = tuple(sorted(draw(st.sets(st.integers(1, dim), min_size=1))))
+    return perm, positions
+
+
+class TestClosedFormMatchesFold:
+    """The closed-form rank maps equal folding the loop oracles one slot at a time."""
+
+    @given(perm_and_any_batch())
+    @settings(max_examples=300)
+    def test_lift(self, case):
+        perm, positions = case
+        assert list(multiple_lift_perm(perm, positions).as_tuple()) == lift_oracle(
+            perm, positions
+        )
+
+    @given(perm_and_any_batch())
+    @settings(max_examples=300)
+    def test_drop(self, case):
+        perm, positions = case
+        assert list(multiple_drop_perm(perm, positions).as_tuple()) == drop_oracle(
+            perm, positions
+        )
+
+    @pytest.mark.parametrize(
+        "dim, positions",
+        [(1, (1,)), (7, (1,)), (7, (7,)), (7, (1, 7)), (6, (1, 2, 3, 4, 5, 6))],
+    )
+    def test_edges(self, dim, positions):
+        perm = random_permutation(dim, PermutationSeed(2024))
+        lifted = multiple_lift_perm(perm, positions)
+        assert list(lifted.as_tuple()) == lift_oracle(perm, positions)
+        dropped = multiple_drop_perm(perm, positions)
+        assert list(dropped.as_tuple()) == drop_oracle(perm, positions)
+        assert dropped.dim == dim - len(positions)
+
+    def test_delete_every_position_leaves_dimension_zero(self):
+        out = multiple_drop_perm(Permutation([3, 1, 2]), (1, 2, 3))
+        assert out.dim == 0 and out.as_tuple() == ()
+
+    @pytest.mark.parametrize("positions", [(), (0,), (2, 1), (1, 1), (4,), (1.0,)])
+    @pytest.mark.parametrize("fn", [multiple_lift_perm, multiple_drop_perm])
+    def test_invalid_positions_rejected(self, fn, positions):
+        with pytest.raises(ValidationError):
+            fn(Permutation([2, 1, 3]), positions)
