@@ -5,6 +5,10 @@ the library so that the fast implementations and these slow ones can only
 agree by both being right.
 """
 
+from bisect import bisect_left, bisect_right
+
+from dynsketch.core import SparseBinaryVector
+
 
 def lift_perm_loops(rank, slot):
     """Widen a permutation by copying around the slot, then bumping ranks.
@@ -99,3 +103,24 @@ def pairwise_estimates_loops(rows):
                     collisions += 1
             out.append(collisions / comparable if comparable else 0.0)
     return out
+
+
+def insert_features_bisect(vector, batch):
+    """Widen a vector one support element at a time, by bisecting the batch."""
+    batch.validate_for_dim(vector.dim)
+    positions = batch.positions
+    shifted = [j + bisect_right(positions, j) for j in vector.support]
+    new_ones = [m + i for i, (m, b) in enumerate(zip(positions, batch.bits)) if b == 1]
+    merged = sorted(shifted + new_ones)
+    return SparseBinaryVector(vector.dim + len(batch), tuple(merged))
+
+
+def delete_features_bisect(vector, batch):
+    """Narrow a vector one support element at a time, by bisecting the batch."""
+    batch.validate_for_dim(vector.dim)
+    positions = batch.positions
+    deleted = set(positions)
+    survivors = [
+        j - bisect_left(positions, j) for j in vector.support if j not in deleted
+    ]
+    return SparseBinaryVector(vector.dim - len(batch), tuple(survivors))

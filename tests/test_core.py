@@ -1,7 +1,8 @@
 """Vector editing and domain-type validation."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynsketch.core import (
     DeletionBatch,
@@ -14,6 +15,7 @@ from dynsketch.core import (
     insert_features,
     EMPTY,
 )
+from _reference import delete_features_bisect, insert_features_bisect
 
 
 def vec(*bits):
@@ -40,6 +42,58 @@ class TestSparseBinaryVector:
             SparseBinaryVector(5, (3, 2))
         with pytest.raises(ValidationError):
             SparseBinaryVector(5, (2, 2))
+
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            ((2**63,), "support index 9223372036854775808 exceeds dimension 5"),
+            (
+                np.array([2**63], dtype=np.uint64),
+                "support index 9223372036854775808 exceeds dimension 5",
+            ),
+            ((1.0,), "support index 1.0 is not an integer"),
+            ((1.5,), "support index 1.5 is not an integer"),
+            (("a",), "support index 'a' is not an integer"),
+            (np.array([[1, 2], [3, 4]]), "support index array([1, 2]) is not an integer"),
+            ((0,), "support index 0 must be at least 1"),
+            ((3, 2), "support indices must be strictly increasing (got 2 after 3)"),
+            ((6,), "support index 6 exceeds dimension 5"),
+            (np.array([6]), "support index 6 exceeds dimension 5"),
+        ],
+    )
+    def test_rejection_messages(self, support, message):
+        with pytest.raises(ValidationError) as info:
+            SparseBinaryVector(5, support)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "support", [np.array([1.5]), np.array([True])], ids=["float", "bool"]
+    )
+    def test_rejects_non_integer_arrays(self, support):
+        # The repr of a numpy scalar in the message depends on the numpy version.
+        with pytest.raises(ValidationError, match=r"^support index .* is not an integer$"):
+            SparseBinaryVector(5, support)
+
+    def test_unsorted_support_message_is_plural(self):
+        with pytest.raises(
+            ValidationError, match=r"^support indices must be strictly increasing \(got 2 after 2\)$"
+        ):
+            SparseBinaryVector(5, (2, 2))
+
+    @pytest.mark.parametrize(
+        "support",
+        [(True, 2), [1, 2], np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint64)],
+        ids=["bool-and-int", "list", "int32", "uint64"],
+    )
+    def test_accepted_supports_become_tuples_of_ints(self, support):
+        v = SparseBinaryVector(5, support)
+        assert v.support == (1, 2)
+        assert type(v.support) is tuple
+        assert all(type(x) is int for x in v.support)
+
+    def test_keeps_a_tuple_of_ints(self):
+        support = (1, 4, 5)
+        assert SparseBinaryVector(5, support).support is support
 
     def test_rejects_negative_dim_and_bad_dense(self):
         with pytest.raises(ValidationError):
@@ -169,3 +223,62 @@ class TestEditProperties:
         assert narrowed.dim == vector.dim - len(removal)
         assert len(narrowed.support) == len(vector.support) - hit
         assert list(narrowed.support) == sorted(set(narrowed.support))
+
+
+def assert_same_vector(got, want):
+    assert got.dim == want.dim
+    assert type(got.support) is tuple
+    assert got.support == want.support
+    assert all(type(x) is int for x in got.support)
+
+
+@st.composite
+def edit_case(draw, max_dim=64):
+    """A vector and the positions of a batch, with the corner cases drawn often."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    every = tuple(range(1, dim + 1))
+    support = draw(st.sampled_from(["random", "empty", "full"]))
+    if support == "random":
+        support = tuple(sorted(draw(st.sets(st.integers(1, dim)))))
+    else:
+        support = () if support == "empty" else every
+    positions = draw(st.sampled_from(["random", "ends", "support", "all"]))
+    if positions == "random":
+        positions = tuple(sorted(draw(st.sets(st.integers(1, dim), min_size=1))))
+    elif positions == "ends":
+        positions = tuple(sorted({1, dim}))
+    elif positions == "support" and support:
+        positions = support
+    else:
+        positions = every
+    bits = draw(st.sampled_from(["random", "zeros", "ones"]))
+    if bits == "random":
+        bits = tuple(draw(st.lists(st.integers(0, 1), min_size=len(positions), max_size=len(positions))))
+    else:
+        bits = (int(bits == "ones"),) * len(positions)
+    return SparseBinaryVector(dim, support), positions, bits
+
+
+class TestEditsMatchBisectOracle:
+    """The numpy edits return exactly what the per-element bisect oracles return."""
+
+    @given(edit_case())
+    @settings(max_examples=300)
+    @example((SparseBinaryVector(1), (1,), (0,)))
+    @example((SparseBinaryVector(1, (1,)), (1,), (1,)))
+    @example((SparseBinaryVector(2**40, (1, 2**39, 2**40)), (1, 2**40), (1, 1)))
+    def test_insert(self, case):
+        vector, positions, bits = case
+        batch = InsertionBatch(positions, bits)
+        assert_same_vector(insert_features(vector, batch), insert_features_bisect(vector, batch))
+
+    @given(edit_case())
+    @settings(max_examples=300)
+    @example((SparseBinaryVector(1), (1,), (0,)))
+    @example((SparseBinaryVector(3, (1, 2, 3)), (1, 2, 3), (0, 0, 0)))
+    @example((SparseBinaryVector(4, (2, 4)), (1, 2, 3, 4), (0, 0, 0, 0)))
+    @example((SparseBinaryVector(2**40, (1, 2**39, 2**40)), (2, 2**40), (0, 0)))
+    def test_delete(self, case):
+        vector, positions, _ = case
+        batch = DeletionBatch(positions)
+        assert_same_vector(delete_features(vector, batch), delete_features_bisect(vector, batch))
