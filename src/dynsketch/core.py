@@ -33,6 +33,8 @@ EMPTY = _EmptyHash()
 
 HashValue = int | _EmptyHash
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _as_positions(
     positions, what: str = "position", plural: str = "positions"
@@ -68,14 +70,10 @@ def _as_support(support, dim: int) -> tuple[int, ...]:
         try:
             arr = np.array(support, dtype=np.int64)
         except OverflowError:  # past int64; the element loop words the error
-            arr = None
-        if (
-            arr is not None
-            and arr.item(0) >= 1
-            and arr.item(-1) <= dim
-            and bool((arr[1:] > arr[:-1]).all())
-        ):
-            return tuple(support)
+            pass
+        else:
+            if arr.item(0) >= 1 and arr.item(-1) <= dim and (arr[1:] > arr[:-1]).all():
+                return tuple(support)
     out = _as_positions(support, "support index", "support indices")
     if out and out[-1] > dim:
         raise ValidationError(f"support index {out[-1]} exceeds dimension {dim}")
@@ -264,6 +262,19 @@ class DeletionBatch:
             )
 
 
+def _edit_dim(dim: int) -> int:
+    """The largest dimension an edit touches, checked to fit its int64 arithmetic.
+
+    Every support element and position of an edit is at most this dimension,
+    so nothing the edit computes can wrap or turn into a float.
+    """
+    if dim > _INT64_MAX:
+        raise ValidationError(
+            f"dimension {dim} exceeds {_INT64_MAX}, the largest the vector edits take"
+        )
+    return dim
+
+
 def insert_features(vector: SparseBinaryVector, batch: InsertionBatch) -> SparseBinaryVector:
     """Widen a vector by one slot per batch entry.
 
@@ -273,19 +284,20 @@ def insert_features(vector: SparseBinaryVector, batch: InsertionBatch) -> Sparse
     bit is 1.
     """
     batch.validate_for_dim(vector.dim)
-    positions = np.array(batch.positions, dtype=np.int64)
+    dim = _edit_dim(vector.dim + len(batch))
     support = vector.support_index()
-    support += np.searchsorted(positions, support, side="right")
+    support += np.searchsorted(batch.positions, support, side="right")
     new_ones = [m + i for i, (m, b) in enumerate(zip(batch.positions, batch.bits)) if b == 1]
     if new_ones:
         support = np.sort(np.concatenate((support, new_ones)))
-    return SparseBinaryVector._from_valid(vector.dim + len(batch), support)
+    return SparseBinaryVector._from_valid(dim, support)
 
 
 def delete_features(vector: SparseBinaryVector, batch: DeletionBatch) -> SparseBinaryVector:
     """Remove the batch positions; surviving position j moves left by the
     number of deleted positions below j."""
     batch.validate_for_dim(vector.dim)
+    _edit_dim(vector.dim)
     positions = np.array(batch.positions, dtype=np.int64)
     support = vector.support_index()
     below = np.searchsorted(positions, support)

@@ -267,6 +267,7 @@ class TestEditsMatchBisectOracle:
     @example((SparseBinaryVector(1), (1,), (0,)))
     @example((SparseBinaryVector(1, (1,)), (1,), (1,)))
     @example((SparseBinaryVector(2**40, (1, 2**39, 2**40)), (1, 2**40), (1, 1)))
+    @example((SparseBinaryVector(2**63 - 2, (2**63 - 2,)), (1,), (1,)))
     def test_insert(self, case):
         vector, positions, bits = case
         batch = InsertionBatch(positions, bits)
@@ -278,7 +279,15 @@ class TestEditsMatchBisectOracle:
     @example((SparseBinaryVector(3, (1, 2, 3)), (1, 2, 3), (0, 0, 0)))
     @example((SparseBinaryVector(4, (2, 4)), (1, 2, 3, 4), (0, 0, 0, 0)))
     @example((SparseBinaryVector(2**40, (1, 2**39, 2**40)), (2, 2**40), (0, 0)))
+    @example((SparseBinaryVector(2**63 - 1, (2**63 - 2, 2**63 - 1)), (2**63 - 2,), (0,)))
     def test_delete(self, case):
         vector, positions, _ = case
         batch = DeletionBatch(positions)
         assert_same_vector(delete_features(vector, batch), delete_features_bisect(vector, batch))
+
+    def test_dimensions_past_int64_are_rejected(self):
+        # The oracles would compute these with Python ints; the int64 edits refuse them.
+        with pytest.raises(ValidationError, match="exceeds 9223372036854775807"):
+            insert_features(SparseBinaryVector(2**63 - 1, (5,)), InsertionBatch((1,), (1,)))
+        with pytest.raises(ValidationError, match="exceeds 9223372036854775807"):
+            delete_features(SparseBinaryVector(2**64, (5,)), DeletionBatch((2**63,)))
