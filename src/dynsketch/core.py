@@ -57,29 +57,6 @@ def _as_positions(
     return tuple(out)
 
 
-def _as_support(support, dim: int) -> tuple[int, ...]:
-    """Check a vector support: 1-based, strictly increasing, at most ``dim``.
-
-    A tuple or list of plain ints is checked with a few passes over it as an
-    int64 array and returned as a tuple. The type test comes before the cast,
-    which would turn floats and bools into integers. Anything else, and any
-    support that fails a check, goes through the element loop, which words
-    the error.
-    """
-    if isinstance(support, (tuple, list)) and set(map(type, support)) == {int}:
-        try:
-            arr = np.array(support, dtype=np.int64)
-        except OverflowError:  # past int64; the element loop words the error
-            pass
-        else:
-            if arr.item(0) >= 1 and arr.item(-1) <= dim and (arr[1:] > arr[:-1]).all():
-                return tuple(support)
-    out = _as_positions(support, "support index", "support indices")
-    if out and out[-1] > dim:
-        raise ValidationError(f"support index {out[-1]} exceeds dimension {dim}")
-    return out
-
-
 @dataclass(frozen=True)
 class SparseBinaryVector:
     """A point in {0,1}^dim stored as its dimension plus sorted 1-positions."""
@@ -91,8 +68,13 @@ class SparseBinaryVector:
         dim = int(self.dim)
         if dim < 0:
             raise ValidationError("dimension must be non-negative")
+        support = _as_positions(self.support, "support index", "support indices")
+        if support and support[-1] > dim:
+            raise ValidationError(
+                f"support index {support[-1]} exceeds dimension {dim}"
+            )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "support", _as_support(self.support, dim))
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def from_dense(cls, bits) -> "SparseBinaryVector":

@@ -91,10 +91,6 @@ class TestSparseBinaryVector:
         assert type(v.support) is tuple
         assert all(type(x) is int for x in v.support)
 
-    def test_keeps_a_tuple_of_ints(self):
-        support = (1, 4, 5)
-        assert SparseBinaryVector(5, support).support is support
-
     def test_rejects_negative_dim_and_bad_dense(self):
         with pytest.raises(ValidationError):
             SparseBinaryVector(-1)
