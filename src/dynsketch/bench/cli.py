@@ -108,8 +108,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dynsketch", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for mode in ("insert", "delete"):
-        sub = subs.add_parser(mode, help=f"run the feature-{mode}ion experiment")
+    for mode, help_text in (
+        ("insert", "run the feature-insertion experiment"),
+        ("delete", "run the feature-deletion experiment"),
+    ):
+        sub = subs.add_parser(mode, help=help_text)
         _add_experiment_flags(sub)
 
     uni = subs.add_parser("uniformity", help="empirical minwise-uniformity check")

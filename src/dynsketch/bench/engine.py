@@ -1,10 +1,12 @@
-"""Vectorized twins of the per-slot sketch operations.
+"""Matrix operations of the benchmark runner.
 
-The benchmark runner works on a (points x permutations) matrix of hash
-values with 0 standing in for EMPTY. Every kernel here mirrors one of the
-scalar update rules in :mod:`dynsketch.sketch` slot for slot; the test suite
-asserts the equivalence, so a change to either side that breaks the other
-fails loudly.
+The runner works on a (points x permutations) matrix of hash values with 0
+standing in for EMPTY. The batch update paths are the K-vectorized kernels
+of :mod:`dynsketch.sketch`, the same ones the sketch-level wrappers run as
+1-row calls; the per-slot rules there stay the scalar API and the tests'
+reference. This module adds the packed supports the kernels read, the base
+sketch, the one-feature-at-a-time sequential paths the experiment times
+against the batch rules, and all-pairs truth and estimates.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import hashlib
 from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
 
-from dynsketch.core import EMPTY, DeletionBatch, InsertionBatch, Sketch, ValidationError
+from dynsketch.core import DeletionBatch, InsertionBatch, Sketch, ValidationError
+from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, row_to_sketch
 
 
 @dataclass(frozen=True)
@@ -26,8 +30,7 @@ class SupportPack:
 
     count: int
     dim: int
-    arrays: tuple          # per-point 0-based index arrays
-    flat: np.ndarray       # all supports concatenated
+    flat: np.ndarray       # all 0-based supports concatenated
     lengths: np.ndarray    # per-point support sizes
     nonempty_rows: np.ndarray
     nonempty_starts: np.ndarray
@@ -38,23 +41,21 @@ def pack_supports(vectors) -> SupportPack:
     if not vectors:
         raise ValidationError("need at least one point")
     dim = vectors[0].dim
-    arrays = []
-    for v in vectors:
-        if v.dim != dim:
-            raise ValidationError("all points must share one dimension")
-        arrays.append(v.support_index() - 1)
-    lengths = np.fromiter((a.size for a in arrays), dtype=np.int64, count=len(arrays))
-    flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    if any(v.dim != dim for v in vectors):
+        raise ValidationError("all points must share one dimension")
+    lengths = np.fromiter((len(v.support) for v in vectors), dtype=np.int64, count=len(vectors))
+    flat = np.fromiter(
+        chain.from_iterable(v.support for v in vectors), dtype=np.int64, count=int(lengths.sum())
+    )
+    flat -= 1
     nonempty = np.nonzero(lengths > 0)[0]
     return SupportPack(
-        count=len(arrays),
+        count=len(vectors),
         dim=dim,
-        arrays=tuple(arrays),
         flat=flat,
         lengths=lengths,
         nonempty_rows=nonempty,
-        nonempty_starts=starts[nonempty],
+        nonempty_starts=(np.cumsum(lengths) - lengths)[nonempty],
     )
 
 
@@ -80,26 +81,8 @@ def sketch_matrix(pack: SupportPack, perms, threads: int = 1) -> np.ndarray:
 
 
 def apply_batch_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
-    """Matrix twin of :func:`dynsketch.sketch.multiple_lift_hash`."""
-    out = np.empty_like(h)
-    pos_idx = np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1
-    ones = np.fromiter(batch.bits, dtype=np.int64, count=len(batch)) == 1
-    any_ones = bool(ones.any())
-    for j, perm in enumerate(perms):
-        base = perm.rank[pos_idx]
-        ordered = np.sort(base)
-        col = h[:, j]
-        shifted = col + np.searchsorted(ordered, col, side="right")
-        if any_ones:
-            smaller = np.empty(base.size, dtype=np.int64)
-            smaller[np.argsort(base, kind="stable")] = np.arange(base.size)
-            best_inserted = int((base + smaller)[ones].min())
-            out[:, j] = np.where(
-                col == 0, best_inserted, np.minimum(shifted, best_inserted)
-            )
-        else:
-            out[:, j] = np.where(col == 0, 0, shifted)
-    return out
+    """The batch insertion rule on every slot: :func:`dynsketch.sketch.lift_hash_matrix`."""
+    return lift_hash_matrix(h, perms, batch)
 
 
 def apply_sequential_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
@@ -126,25 +109,8 @@ def apply_sequential_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.n
 def apply_batch_delete(
     h: np.ndarray, pack: SupportPack, perms, batch: DeletionBatch
 ) -> np.ndarray:
-    """Matrix twin of :func:`dynsketch.sketch.multiple_drop_hash`."""
-    out = np.empty_like(h)
-    pos_idx = np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1
-    for j, perm in enumerate(perms):
-        deleted = np.sort(perm.rank[pos_idx])
-        col = h[:, j]
-        below_eq = np.searchsorted(deleted, col, side="right")
-        hit = (below_eq > 0) & (deleted[np.maximum(below_eq - 1, 0)] == col)
-        new = np.where(col == 0, 0, col - below_eq)
-        for row in np.nonzero(hit)[0]:
-            ranks = perm.rank[pack.arrays[row]]
-            surviving = ranks[~np.isin(ranks, deleted)]
-            if surviving.size == 0:
-                new[row] = 0
-            else:
-                v = int(surviving.min())
-                new[row] = v - int(np.searchsorted(deleted, v, side="left"))
-        out[:, j] = new
-    return out
+    """The batch deletion rule on every slot: :func:`dynsketch.sketch.drop_hash_matrix`."""
+    return drop_hash_matrix(h, perms, batch, pack.flat, pack.lengths, pack.dim)
 
 
 def apply_sequential_delete(
@@ -153,6 +119,7 @@ def apply_sequential_delete(
     """One drop_hash application per batch entry, oldest position first."""
     out = h.copy()
     dpos = np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1
+    ends = np.cumsum(pack.lengths)
     for j, perm in enumerate(perms):
         col = out[:, j]
         removed: list[int] = []  # deleted ranks in the original frame, sorted
@@ -163,7 +130,7 @@ def apply_sequential_delete(
             col[:] = np.where((col == 0) | (col < a), col, col - 1)
             insort(removed, w)
             for row in hit_rows:
-                sup = pack.arrays[row]
+                sup = pack.flat[ends[row] - pack.lengths[row] : ends[row]]
                 surviving = sup[~np.isin(sup, dpos[: i + 1])]
                 if surviving.size == 0:
                     col[row] = 0
@@ -268,4 +235,4 @@ def sketch_digest(h: np.ndarray) -> str:
 
 def matrix_row_to_sketch(h: np.ndarray, row: int) -> Sketch:
     """Convert one matrix row back to a Sketch (0 becomes EMPTY)."""
-    return Sketch(tuple(EMPTY if v == 0 else int(v) for v in h[row]))
+    return row_to_sketch(h[row])

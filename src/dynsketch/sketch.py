@@ -4,6 +4,14 @@ Each update rule returns exactly what re-sketching the edited vector under
 the corresponding lifted/dropped permutation would return, without ever
 materializing that permutation. The lifted/dropped constructions in
 :mod:`dynsketch.permgen` serve as the exact oracles in the test suite.
+
+The per-slot rules (:func:`lift_hash`, :func:`multiple_lift_hash`,
+:func:`drop_hash`, :func:`multiple_drop_hash`) are the scalar API and the
+tests' independent reference. Whole sketches and hash matrices go through one
+kernel per batch rule, :func:`lift_hash_matrix` and :func:`drop_hash_matrix`,
+which work on a (points x permutations) int64 matrix with 0 standing in for
+EMPTY; :func:`update_sketch_insert` and :func:`update_sketch_delete` are
+1-row calls into them.
 """
 
 from __future__ import annotations
@@ -173,37 +181,195 @@ def multiple_drop_hash(
     return new_min - int(np.searchsorted(deleted, new_min, side="left"))
 
 
+# Lifted batch ranks that one column block of the kernels searches at a time.
+# One search over all K * n ranks grows dearer with n than the rule's constant
+# cost per slot; blocks of this size keep the searched array cache-sized.
+_SEARCH_BLOCK_ENTRIES = 1 << 10
+
+_NO_SURVIVOR = np.iinfo(np.int64).max
+
+
+def _batch_ranks(perms, batch, dim: int | None = None) -> np.ndarray:
+    """The (K, n) base ranks of the batch positions, row k under ``perms[k]``.
+
+    Checks each permutation in turn, in the per-slot rules' order: that it
+    has dimension ``dim`` when one is given, then that the batch fits it.
+    """
+    idx = np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1
+    ranks = np.empty((len(perms), len(batch)), dtype=np.int64)
+    for k, p in enumerate(perms):
+        if dim is not None and p.dim != dim:
+            raise ValidationError(
+                f"vector dimension {dim} != permutation dimension {p.dim}"
+            )
+        batch.validate_for_dim(p.dim)
+        ranks[k] = p.rank[idx]
+    return ranks
+
+
+def _lifted_ranks(w_sorted: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every column's sorted batch ranks in one sorted array, and the lifts.
+
+    Column j is lifted by ``offsets[j] = j * (top + 1)``, so ``top`` must be
+    at least every value searched, not just every batch rank: with
+    ``top = max(W)``, a hash above every batch rank of its column would count
+    ranks of the next.
+    """
+    offsets = np.arange(w_sorted.shape[0], dtype=np.int64) * (top + 1)
+    return (w_sorted + offsets[:, None]).ravel(), offsets
+
+
+def _shift_by_counts(h, lifted, offsets, n, sign, hit=None) -> np.ndarray:
+    """``h + sign * #{w <= h}`` for every slot, with 0 (EMPTY) staying 0.
+
+    The counts come from one search of each column block's lifted hashes in
+    its lifted ranks. When ``hit`` is given, it is set where the hash is
+    itself one of its column's batch ranks.
+    """
+    k = h.shape[1]
+    step = max(1, _SEARCH_BLOCK_ENTRIES // n)
+    blocks = []
+    for c0 in range(0, k, step):
+        cols = slice(c0, min(c0 + step, k))
+        block = lifted[c0 * n : cols.stop * n]
+        query = h[:, cols] + offsets[cols]
+        idx = np.searchsorted(block, query, side="right")
+        # idx minus the entries of the block's earlier columns is the count.
+        base = np.arange(cols.stop - c0, dtype=np.int64) * n
+        if hit is not None:
+            idx -= 1
+            # idx is -1 only where the query lies below the whole block, so
+            # the wrapped read is above it and never equal.
+            np.equal(block.take(idx), query, out=hit[:, cols])
+            base -= 1
+        if sign > 0:
+            query += idx
+            query -= offsets[cols] + base
+        else:
+            query -= idx
+            query -= offsets[cols] - base
+        blocks.append(query)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
+    """:func:`multiple_lift_hash` on every slot of a hash matrix at once.
+
+    ``h[i, j]`` is point i's hash under ``perms[j]``, 0 for EMPTY; the result
+    is a new int64 matrix in the same layout. A hash r becomes
+    r + #{w <= r} over the column's base ranks W, or the best inserted 1-bit
+    rank when that is smaller; an EMPTY slot takes that rank or stays EMPTY.
+    """
+    perms = list(perms)
+    w = _batch_ranks(perms, batch)
+    top = max(int(h.max(initial=0)), int(w.max(initial=0)))
+    lifted, offsets = _lifted_ranks(np.sort(w, axis=1), top)
+    out = _shift_by_counts(h, lifted, offsets, len(batch), +1)
+    if 1 in batch.bits:
+        # Inserted element i lands at rank w_i + #{w < w_i}, which rises with
+        # w_i, so a column's best 1-bit is its smallest 1-bit base rank.
+        w1 = w[:, np.array(batch.bits, dtype=bool)].min(axis=1)
+        best = w1 + (w < w1[:, None]).sum(axis=1)
+        np.minimum(out, best, out=out)
+        np.copyto(out, best, where=h == 0)
+    return out
+
+
+def drop_hash_matrix(
+    h: np.ndarray,
+    perms,
+    batch: DeletionBatch,
+    flat: np.ndarray,
+    lengths: np.ndarray,
+    dim: int,
+) -> np.ndarray:
+    """:func:`multiple_drop_hash` on every slot of a hash matrix at once.
+
+    ``h`` is laid out as for :func:`lift_hash_matrix`. Row i's support is
+    ``lengths[i]`` 0-based positions of ``flat``, taken in row order, of a
+    vector of dimension ``dim``. A hash r that survives becomes r - #{w <= r};
+    a deleted one is replaced by the smallest surviving support rank v, as
+    v - #{w < v}, or by EMPTY when nothing survives.
+    """
+    perms = list(perms)
+    n = len(batch)
+    w_sorted = np.sort(_batch_ranks(perms, batch, dim), axis=1)
+    # The hit pass below searches support ranks, which reach up to dim.
+    lifted, offsets = _lifted_ranks(w_sorted, max(int(h.max(initial=0)), dim))
+    hit = np.empty(h.shape, dtype=bool)
+    out = _shift_by_counts(h, lifted, offsets, n, -1, hit)
+    cols, rows = np.nonzero(hit.T)  # grouped by column
+    if rows.size == 0:
+        return out
+    # Gather every hit row's support, one segment per hit.
+    seg_len = lengths[rows]
+    seg_start = np.cumsum(seg_len) - seg_len
+    row_start = np.cumsum(lengths) - lengths
+    total = int(seg_len.sum())
+    gather = np.arange(total, dtype=np.int64)
+    gather += np.repeat(row_start[rows] - seg_start, seg_len)
+    positions = flat[gather]
+    ranks = np.empty_like(positions)
+    firsts = np.flatnonzero(np.diff(cols, prepend=-1))
+    bounds = np.append(seg_start[firsts], total)
+    for j, a, b in zip(cols[firsts].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        ranks[a:b] = perms[j].rank[positions[a:b]]
+    # One search gives each rank's #{w < r} and whether it was deleted.
+    elem_cols = np.repeat(cols, seg_len)
+    query = ranks + offsets[elem_cols]
+    below = np.searchsorted(lifted, query, side="left")
+    deleted = lifted.take(below, mode="clip") == query
+    # r - #{w < r} rises with r over surviving ranks, so its minimum is the
+    # slid-down minimum surviving rank.
+    ranks -= below
+    ranks += elem_cols * n
+    ranks[deleted] = _NO_SURVIVOR
+    best = np.full(rows.size, _NO_SURVIVOR, dtype=np.int64)
+    some = seg_len > 0
+    if some.any():
+        best[some] = np.minimum.reduceat(ranks, seg_start[some])
+    best[best == _NO_SURVIVOR] = 0
+    out[rows, cols] = best
+    return out
+
+
+def sketch_to_row(sk: Sketch) -> np.ndarray:
+    """A sketch as a 1 x K hash matrix, 0 for EMPTY."""
+    return np.array([[0 if v is EMPTY else v for v in sk.values]], dtype=np.int64)
+
+
+def row_to_sketch(row: np.ndarray) -> Sketch:
+    """One hash-matrix row as a Sketch, 0 becoming EMPTY."""
+    return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
+
+
+def _check_slot_count(sk: Sketch, perms) -> None:
+    if len(perms) != sk.num_perms:
+        raise ValidationError(
+            f"sketch has {sk.num_perms} slots but {len(perms)} permutations given"
+        )
+
+
 def update_sketch_insert(sk: Sketch, perms, batch: InsertionBatch) -> Sketch:
-    """Apply :func:`multiple_lift_hash` to every slot of a sketch.
+    """:func:`multiple_lift_hash` on every slot of a sketch, as one
+    :func:`lift_hash_matrix` row.
 
     The caller is responsible for lifting the permutations (lazily or on
     demand) before issuing further updates against the widened frame.
     """
     perms = list(perms)
-    if len(perms) != sk.num_perms:
-        raise ValidationError(
-            f"sketch has {sk.num_perms} slots but {len(perms)} permutations given"
-        )
-    return Sketch(
-        tuple(
-            multiple_lift_hash(v, p, batch.positions, batch.bits)
-            for v, p in zip(sk.values, perms)
-        )
-    )
+    _check_slot_count(sk, perms)
+    return row_to_sketch(lift_hash_matrix(sketch_to_row(sk), perms, batch)[0])
 
 
 def update_sketch_delete(
     sk: Sketch, perms, vector: SparseBinaryVector, batch: DeletionBatch
 ) -> Sketch:
-    """Apply :func:`multiple_drop_hash` to every slot of a sketch."""
+    """:func:`multiple_drop_hash` on every slot of a sketch, as one
+    :func:`drop_hash_matrix` row."""
     perms = list(perms)
-    if len(perms) != sk.num_perms:
-        raise ValidationError(
-            f"sketch has {sk.num_perms} slots but {len(perms)} permutations given"
-        )
-    return Sketch(
-        tuple(
-            multiple_drop_hash(v, vector, p, batch.positions)
-            for v, p in zip(sk.values, perms)
-        )
-    )
+    _check_slot_count(sk, perms)
+    flat = vector.support_index() - 1
+    lengths = np.array([flat.size], dtype=np.int64)
+    out = drop_hash_matrix(sketch_to_row(sk), perms, batch, flat, lengths, vector.dim)
+    return row_to_sketch(out[0])

@@ -1,0 +1,322 @@
+"""The K-vectorized batch kernels against the per-slot rules and re-sketching.
+
+``lift_hash_matrix`` and ``drop_hash_matrix`` are checked slot for slot
+against the per-slot ``multiple_lift_hash`` / ``multiple_drop_hash`` and, for
+a true hash matrix, against re-sketching the edited points under the
+lifted/dropped permutations. The search block size is patched down so that
+every example with more than one column crosses block boundaries.
+"""
+
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynsketch import sketch
+from dynsketch.bench import engine
+from dynsketch.core import (
+    EMPTY,
+    DeletionBatch,
+    InsertionBatch,
+    Permutation,
+    Sketch,
+    SparseBinaryVector,
+    ValidationError,
+    delete_features,
+    insert_features,
+)
+from dynsketch.permgen import (
+    PermutationSeed,
+    multiple_drop_perm,
+    multiple_lift_perm,
+    random_permutation,
+)
+from dynsketch.sketch import (
+    drop_hash_matrix,
+    lift_hash_matrix,
+    min_hash,
+    multiple_drop_hash,
+    multiple_lift_hash,
+    update_sketch_delete,
+    update_sketch_insert,
+)
+
+
+@st.composite
+def matrix_case(draw, max_dim=24, max_points=6, max_perms=5):
+    """Points, permutations, a batch and a hash matrix, plus whether the
+    matrix is the points' true sketch."""
+    # Small dimensions make columns' lifted ranges touch, where lifting bugs show.
+    dim = draw(st.one_of(st.integers(1, 6), st.integers(1, max_dim)))
+    k = draw(st.integers(1, max_perms))
+    seed = draw(st.integers(0, 2**32 - 1))
+    perms = [random_permutation(dim, PermutationSeed(seed, j)) for j in range(k)]
+    points = [
+        SparseBinaryVector(dim, tuple(sorted(s)))
+        for s in draw(st.lists(st.sets(st.integers(1, dim)), min_size=1, max_size=max_points))
+    ]
+    n = draw(st.integers(1, dim))
+    positions = tuple(sorted(draw(st.sets(st.integers(1, dim), min_size=n, max_size=n))))
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    h = engine.sketch_matrix(engine.pack_supports(points), perms)
+    mode = draw(st.sampled_from(("true", "zero rows", "zero slots", "arbitrary")))
+    if mode == "zero rows":
+        rows = draw(st.lists(st.integers(0, len(points) - 1), max_size=len(points)))
+        h[rows] = 0
+    elif mode == "zero slots":
+        mask = draw(st.lists(st.booleans(), min_size=h.size, max_size=h.size))
+        h[np.array(mask).reshape(h.shape)] = 0
+    elif mode == "arbitrary":
+        # Values above dim hold hashes above every batch rank of their column.
+        values = draw(st.lists(st.integers(0, dim + 3), min_size=h.size, max_size=h.size))
+        h = np.array(values, dtype=np.int64).reshape(h.shape)
+    block = draw(st.integers(1, n * max(k - 1, 1)))
+    return points, perms, positions, bits, h, mode == "true", block
+
+
+def as_hash(v):
+    return EMPTY if v == 0 else int(v)
+
+
+def as_value(v):
+    return 0 if v is EMPTY else v
+
+
+def resketch(points, perms, edit, carry, batch):
+    edited = [edit(v, batch) for v in points]
+    return engine.sketch_matrix(
+        engine.pack_supports(edited), [carry(p, batch.positions) for p in perms]
+    )
+
+
+def per_slot_insert(h, perms, batch):
+    return np.array(
+        [
+            [as_value(multiple_lift_hash(as_hash(v), p, batch.positions, batch.bits))
+             for v, p in zip(row, perms)]
+            for row in h
+        ],
+        dtype=np.int64,
+    ).reshape(h.shape)
+
+
+def per_slot_delete(h, points, perms, batch):
+    return np.array(
+        [
+            [as_value(multiple_drop_hash(as_hash(v), x, p, batch.positions))
+             for v, p in zip(row, perms)]
+            for row, x in zip(h, points)
+        ],
+        dtype=np.int64,
+    ).reshape(h.shape)
+
+
+def kernel_insert(h, perms, batch, block):
+    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+        return lift_hash_matrix(h, perms, batch)
+
+
+def kernel_delete(h, points, perms, batch, block):
+    pack = engine.pack_supports(points)
+    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+        return drop_hash_matrix(h, perms, batch, pack.flat, pack.lengths, pack.dim)
+
+
+class TestLiftHashMatrix:
+    @given(matrix_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_slot_rule_and_resketch(self, case):
+        points, perms, positions, bits, h, true_sketch, block = case
+        batch = InsertionBatch(positions, bits)
+        got = kernel_insert(h, perms, batch, block)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, per_slot_insert(h, perms, batch))
+        if true_sketch:
+            expected = resketch(points, perms, insert_features, multiple_lift_perm, batch)
+            assert np.array_equal(got, expected)
+
+    def test_hash_above_every_batch_rank_stays_in_its_column(self):
+        # Both columns put the batch at ranks 1 and 2; a span of only
+        # max(W) + 1 would let the hash 6 of column 0 count column 1's ranks.
+        ident = Permutation([1, 2, 3, 4, 5, 6])
+        h = np.array([[6, 6], [0, 3]], dtype=np.int64)
+        batch = InsertionBatch((1, 2), (0, 0))
+        for block in (1, 2, 4):
+            got = kernel_insert(h, [ident, ident], batch, block)
+            assert got.tolist() == [[8, 8], [0, 5]]
+            assert np.array_equal(got, per_slot_insert(h, [ident, ident], batch))
+
+    def test_edge_batches_against_resketch(self):
+        dim = 9
+        perms = [random_permutation(dim, PermutationSeed(5, j)) for j in range(3)]
+        points = [
+            SparseBinaryVector(dim, ()),
+            SparseBinaryVector(dim, (1, dim)),
+            SparseBinaryVector(dim, tuple(range(1, dim + 1))),
+        ]
+        h = engine.sketch_matrix(engine.pack_supports(points), perms)
+        for batch in (
+            InsertionBatch((1,), (1,)),
+            InsertionBatch((dim,), (0,)),
+            InsertionBatch((1, dim), (0, 0)),
+            InsertionBatch(tuple(range(1, dim + 1)), (1,) * dim),
+        ):
+            for block in (1, 2, 1024):
+                for k in (1, 3):
+                    got = kernel_insert(h[:, :k], perms[:k], batch, block)
+                    expected = resketch(
+                        points, perms[:k], insert_features, multiple_lift_perm, batch
+                    )
+                    assert np.array_equal(got, expected)
+
+
+class TestDropHashMatrix:
+    @given(matrix_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_slot_rule_and_resketch(self, case):
+        points, perms, positions, _, h, true_sketch, block = case
+        batch = DeletionBatch(positions)
+        got = kernel_delete(h, points, perms, batch, block)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
+        if true_sketch:
+            expected = resketch(points, perms, delete_features, multiple_drop_perm, batch)
+            assert np.array_equal(got, expected)
+
+    def test_whole_support_deleted_empties_the_row(self):
+        dim = 8
+        perms = [random_permutation(dim, PermutationSeed(9, j)) for j in range(4)]
+        points = [
+            SparseBinaryVector(dim, (2, 5)),
+            SparseBinaryVector(dim, (1, 2, 5, 8)),
+            SparseBinaryVector(dim, ()),
+        ]
+        h = engine.sketch_matrix(engine.pack_supports(points), perms)
+        batch = DeletionBatch((2, 5))
+        for block in (1, 3, 1024):
+            got = kernel_delete(h, points, perms, batch, block)
+            assert not got[0].any()
+            assert got[1].all()
+            assert not got[2].any()
+            expected = resketch(points, perms, delete_features, multiple_drop_perm, batch)
+            assert np.array_equal(got, expected)
+
+    def test_deleting_every_position(self):
+        dim = 6
+        perms = [random_permutation(dim, PermutationSeed(2, j)) for j in range(3)]
+        points = [SparseBinaryVector(dim, (1, 4)), SparseBinaryVector(dim, ())]
+        h = engine.sketch_matrix(engine.pack_supports(points), perms)
+        batch = DeletionBatch(tuple(range(1, dim + 1)))
+        for block in (1, 1024):
+            got = kernel_delete(h, points, perms, batch, block)
+            assert got.shape == h.shape and not got.any()
+            assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
+
+    def test_support_rank_above_every_hash_stays_in_its_column(self):
+        # Both minima are deleted. Column 0's next support rank, 3, is above
+        # every hash and batch rank; a span of max(h, W) + 1 = 2 would lift it
+        # onto column 1's deleted rank and drop it as deleted.
+        x = SparseBinaryVector(3, (1, 3))
+        perms = [Permutation([1, 2, 3]), Permutation([1, 3, 2])]
+        h = np.array([[1, 1]], dtype=np.int64)
+        batch = DeletionBatch((1,))
+        for block in (1, 1024):
+            got = kernel_delete(h, [x], perms, batch, block)
+            assert got.tolist() == [[2, 1]]
+            assert np.array_equal(got, per_slot_delete(h, [x], perms, batch))
+
+    def test_hash_above_every_batch_rank_stays_in_its_column(self):
+        ident = Permutation([1, 2, 3, 4, 5, 6])
+        points = [SparseBinaryVector(6, (6,)), SparseBinaryVector(6, (1, 3))]
+        h = np.array([[6, 6], [1, 1]], dtype=np.int64)
+        batch = DeletionBatch((1, 2))
+        for block in (1, 2, 4):
+            got = kernel_delete(h, points, [ident, ident], batch, block)
+            assert got.tolist() == [[4, 4], [1, 1]]
+            assert np.array_equal(got, per_slot_delete(h, points, [ident, ident], batch))
+
+
+PI7 = Permutation([6, 3, 1, 7, 2, 5, 4])
+PI8 = Permutation([6, 3, 1, 7, 2, 5, 4, 8])
+X7 = SparseBinaryVector.from_dense([1, 0, 0, 1, 0, 1, 0])
+
+
+class TestSketchWrappers:
+    @given(matrix_case(max_points=1))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_per_slot_rules(self, case):
+        (point,), perms, positions, bits, h, _, _ = case
+        sk = Sketch(tuple(as_hash(v) for v in h[0]))
+        grown = update_sketch_insert(sk, perms, InsertionBatch(positions, bits))
+        assert grown.values == tuple(
+            multiple_lift_hash(v, p, positions, bits) for v, p in zip(sk.values, perms)
+        )
+        shrunk = update_sketch_delete(sk, perms, point, DeletionBatch(positions))
+        assert shrunk.values == tuple(
+            multiple_drop_hash(v, point, p, positions) for v, p in zip(sk.values, perms)
+        )
+        assert all(v is EMPTY or type(v) is int for v in grown.values + shrunk.values)
+
+    def test_empty_slots_in_and_out(self):
+        sk = Sketch((EMPTY, min_hash(X7, PI7)))
+        grown = update_sketch_insert(sk, [PI7, PI7], InsertionBatch((2, 4), (0, 1)))
+        assert grown.values[0] == multiple_lift_hash(EMPTY, PI7, (2, 4), (0, 1)) != EMPTY
+        assert update_sketch_insert(sk, [PI7, PI7], InsertionBatch((2,), (0,))).values[0] is EMPTY
+        shrunk = update_sketch_delete(sk, [PI7, PI7], X7, DeletionBatch((1, 4, 6)))
+        assert shrunk.values == (EMPTY, EMPTY)
+
+
+class TestWrapperMessages:
+    def test_insert_slot_count_mismatch(self):
+        with pytest.raises(ValidationError) as err:
+            update_sketch_insert(Sketch((1, 2)), [PI7], InsertionBatch((1,), (1,)))
+        assert str(err.value) == "sketch has 2 slots but 1 permutations given"
+
+    def test_delete_slot_count_mismatch(self):
+        with pytest.raises(ValidationError) as err:
+            update_sketch_delete(Sketch((1,)), [PI7, PI7], X7, DeletionBatch((1,)))
+        assert str(err.value) == "sketch has 1 slots but 2 permutations given"
+
+    def test_delete_vector_dimension_mismatch(self):
+        with pytest.raises(ValidationError) as err:
+            update_sketch_delete(Sketch((1, 1)), [PI7, PI8], X7, DeletionBatch((1,)))
+        assert str(err.value) == "vector dimension 7 != permutation dimension 8"
+
+    def test_insert_position_out_of_range(self):
+        with pytest.raises(ValidationError) as err:
+            update_sketch_insert(Sketch((1, EMPTY)), [PI8, PI7], InsertionBatch((8,), (1,)))
+        assert str(err.value) == "position 8 out of range for dimension 7"
+
+    def test_delete_position_out_of_range(self):
+        with pytest.raises(ValidationError) as err:
+            update_sketch_delete(Sketch((EMPTY,)), [PI7], X7, DeletionBatch((2, 8)))
+        assert str(err.value) == "position 8 out of range for dimension 7"
+
+    def test_delete_checks_slot_by_slot(self):
+        # Slot 0 fits the vector, so its range check fires before slot 1's
+        # dimension check, as in the per-slot rule.
+        with pytest.raises(ValidationError) as err:
+            update_sketch_delete(Sketch((1, 1)), [PI7, PI8], X7, DeletionBatch((9,)))
+        assert str(err.value) == "position 9 out of range for dimension 7"
+
+
+class TestPackSupports:
+    def test_flat_and_lengths(self):
+        points = [
+            SparseBinaryVector(5, (2, 4)),
+            SparseBinaryVector(5, ()),
+            SparseBinaryVector(5, (1, 3, 5)),
+        ]
+        pack = engine.pack_supports(points)
+        assert pack.count == 3 and pack.dim == 5
+        assert pack.flat.dtype == np.int64 and pack.flat.tolist() == [1, 3, 0, 2, 4]
+        assert pack.lengths.tolist() == [2, 0, 3]
+        assert pack.nonempty_rows.tolist() == [0, 2]
+        assert pack.nonempty_starts.tolist() == [0, 2]
+
+    def test_messages(self):
+        with pytest.raises(ValidationError, match="^need at least one point$"):
+            engine.pack_supports([])
+        with pytest.raises(ValidationError, match="^all points must share one dimension$"):
+            engine.pack_supports([SparseBinaryVector(3, (1,)), SparseBinaryVector(4, ())])

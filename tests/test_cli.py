@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from dynsketch.bench.cli import main
+from dynsketch.bench.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -155,3 +155,11 @@ class TestUniformityCommand:
             capsys,
         )
         assert code == 1
+
+
+class TestHelp:
+    def test_subcommand_help_names_both_experiments(self):
+        text = build_parser().format_help()
+        assert "feature-insertion" in text
+        assert "feature-deletion" in text
+        assert "deleteion" not in text
