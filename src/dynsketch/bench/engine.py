@@ -1,10 +1,11 @@
 """Matrix operations of the benchmark runner.
 
 The runner works on a (points x permutations) matrix of hash values with 0
-standing in for EMPTY. The batch update paths are the K-vectorized kernels
-of :mod:`dynsketch.sketch`, the same ones the sketch-level wrappers run as
-1-row calls; the per-slot rules there stay the scalar API and the tests'
-reference. This module adds the packed supports the kernels read, the base
+standing in for EMPTY. The base sketch and the batch update paths are the
+K-vectorized kernels of :mod:`dynsketch.sketch`, the same ones the
+sketch-level wrappers run as 1-row calls; ``min_hash`` and the per-slot rules
+there stay the scalar API and the tests' reference. This module adds the
+packed supports the kernels read, the column-chunked threading of the base
 sketch, the one-feature-at-a-time sequential paths the experiment times
 against the batch rules, and all-pairs truth and estimates.
 """
@@ -20,8 +21,8 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 
-from dynsketch.core import DeletionBatch, InsertionBatch, Sketch, ValidationError
-from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, row_to_sketch
+from dynsketch.core import DeletionBatch, InsertionBatch, ValidationError
+from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, min_hash_matrix
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,6 @@ class SupportPack:
     dim: int
     flat: np.ndarray       # all 0-based supports concatenated
     lengths: np.ndarray    # per-point support sizes
-    nonempty_rows: np.ndarray
-    nonempty_starts: np.ndarray
 
 
 def pack_supports(vectors) -> SupportPack:
@@ -48,36 +47,22 @@ def pack_supports(vectors) -> SupportPack:
         chain.from_iterable(v.support for v in vectors), dtype=np.int64, count=int(lengths.sum())
     )
     flat -= 1
-    nonempty = np.nonzero(lengths > 0)[0]
-    return SupportPack(
-        count=len(vectors),
-        dim=dim,
-        flat=flat,
-        lengths=lengths,
-        nonempty_rows=nonempty,
-        nonempty_starts=(np.cumsum(lengths) - lengths)[nonempty],
-    )
+    return SupportPack(count=len(vectors), dim=dim, flat=flat, lengths=lengths)
 
 
 def sketch_matrix(pack: SupportPack, perms, threads: int = 1) -> np.ndarray:
-    """(points x perms) matrix of min ranks; 0 marks an empty support."""
+    """(points x perms) matrix of min ranks, 0 for an empty support: the pack's
+    :func:`dynsketch.sketch.min_hash_matrix`, run on up to ``threads``
+    contiguous chunks of the permutations at once."""
     perms = list(perms)
-    out = np.zeros((pack.count, len(perms)), dtype=np.int64)
-
-    def fill(j):
-        vals = perms[j].rank[pack.flat]
-        if vals.size:
-            out[pack.nonempty_rows, j] = np.minimum.reduceat(
-                vals, pack.nonempty_starts
-            )
-
-    if threads > 1 and len(perms) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(perms))))
-    else:
-        for j in range(len(perms)):
-            fill(j)
-    return out
+    if threads <= 1 or len(perms) <= 1:
+        return min_hash_matrix(perms, pack.flat, pack.lengths, pack.dim)
+    size = -(-len(perms) // threads)
+    chunks = [perms[a : a + size] for a in range(0, len(perms), size)]
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        # map yields in chunk order, so the first bad permutation raises.
+        parts = pool.map(lambda c: min_hash_matrix(c, pack.flat, pack.lengths, pack.dim), chunks)
+        return np.hstack(list(parts))
 
 
 def apply_batch_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
@@ -231,8 +216,3 @@ def sketch_digest(h: np.ndarray) -> str:
     """Stable fingerprint of a hash matrix, for slot-identity checks."""
     payload = repr(h.shape).encode("ascii") + np.ascontiguousarray(h).tobytes()
     return hashlib.md5(payload).hexdigest()
-
-
-def matrix_row_to_sketch(h: np.ndarray, row: int) -> Sketch:
-    """Convert one matrix row back to a Sketch (0 becomes EMPTY)."""
-    return row_to_sketch(h[row])

@@ -5,13 +5,13 @@ the corresponding lifted/dropped permutation would return, without ever
 materializing that permutation. The lifted/dropped constructions in
 :mod:`dynsketch.permgen` serve as the exact oracles in the test suite.
 
-The per-slot rules (:func:`lift_hash`, :func:`multiple_lift_hash`,
-:func:`drop_hash`, :func:`multiple_drop_hash`) are the scalar API and the
-tests' independent reference. Whole sketches and hash matrices go through one
-kernel per batch rule, :func:`lift_hash_matrix` and :func:`drop_hash_matrix`,
-which work on a (points x permutations) int64 matrix with 0 standing in for
-EMPTY; :func:`update_sketch_insert` and :func:`update_sketch_delete` are
-1-row calls into them.
+:func:`min_hash` and the per-slot rules (:func:`lift_hash`,
+:func:`multiple_lift_hash`, :func:`drop_hash`, :func:`multiple_drop_hash`)
+are the scalar API and the tests' independent reference. Whole sketches and
+hash matrices go through one kernel per operation, :func:`min_hash_matrix`,
+:func:`lift_hash_matrix` and :func:`drop_hash_matrix`, on a (points x
+permutations) int64 matrix with 0 for EMPTY; :func:`build_sketch`,
+:func:`update_sketch_insert` and :func:`update_sketch_delete` are 1-row calls.
 """
 
 from __future__ import annotations
@@ -42,12 +42,30 @@ def min_hash(vector: SparseBinaryVector, pi: Permutation) -> HashValue:
     return int(pi.rank[vector.support_index() - 1].min())
 
 
+def min_hash_matrix(perms, flat: np.ndarray, lengths: np.ndarray, dim: int) -> np.ndarray:
+    """:func:`min_hash` of every point under every permutation, 0 for EMPTY.
+
+    The supports are laid out as for :func:`drop_hash_matrix`; each
+    permutation's dimension is checked against ``dim`` in turn.
+    """
+    perms = list(perms)
+    out = np.zeros((lengths.size, len(perms)), dtype=np.int64)
+    rows = np.flatnonzero(lengths)
+    starts = (np.cumsum(lengths) - lengths)[rows]
+    for j, p in enumerate(perms):
+        if p.dim != dim:
+            raise ValidationError(f"vector dimension {dim} != permutation dimension {p.dim}")
+        out[rows, j] = np.minimum.reduceat(p.rank[flat], starts)
+    return out
+
+
 def build_sketch(vector: SparseBinaryVector, perms) -> Sketch:
-    """One :func:`min_hash` value per permutation."""
+    """One :func:`min_hash` per permutation, as a 1-row :func:`min_hash_matrix` call."""
     perms = list(perms)
     if not perms:
         raise ValidationError("need at least one permutation")
-    return Sketch(tuple(min_hash(vector, p) for p in perms))
+    flat = vector.support_index() - 1
+    return row_to_sketch(min_hash_matrix(perms, flat, np.array([flat.size]), vector.dim)[0])
 
 
 def lift_hash(old_hash: HashValue, inserted_rank: int, bit: int) -> HashValue:

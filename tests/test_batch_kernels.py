@@ -1,10 +1,12 @@
-"""The K-vectorized batch kernels against the per-slot rules and re-sketching.
+"""The K-vectorized kernels against the per-slot rules and re-sketching.
 
-``lift_hash_matrix`` and ``drop_hash_matrix`` are checked slot for slot
-against the per-slot ``multiple_lift_hash`` / ``multiple_drop_hash`` and, for
-a true hash matrix, against re-sketching the edited points under the
-lifted/dropped permutations. The search block size is patched down so that
-every example with more than one column crosses block boundaries.
+``min_hash_matrix`` is checked slot for slot against the scalar ``min_hash``
+and a dense brute-force scan. ``lift_hash_matrix`` and ``drop_hash_matrix``
+are checked slot for slot against the per-slot ``multiple_lift_hash`` /
+``multiple_drop_hash`` and, for a true hash matrix, against re-sketching the
+edited points under the lifted/dropped permutations. The search block size is
+patched down so that every example with more than one column crosses block
+boundaries.
 """
 
 from unittest.mock import patch
@@ -33,14 +35,18 @@ from dynsketch.permgen import (
     random_permutation,
 )
 from dynsketch.sketch import (
+    build_sketch,
     drop_hash_matrix,
     lift_hash_matrix,
     min_hash,
+    min_hash_matrix,
     multiple_drop_hash,
     multiple_lift_hash,
     update_sketch_delete,
     update_sketch_insert,
 )
+
+from _reference import min_rank_brute
 
 
 @st.composite
@@ -121,6 +127,55 @@ def kernel_delete(h, points, perms, batch, block):
     pack = engine.pack_supports(points)
     with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
         return drop_hash_matrix(h, perms, batch, pack.flat, pack.lengths, pack.dim)
+
+
+@st.composite
+def support_case(draw):
+    """Permutations and supports, with empty and full supports drawn often."""
+    dim = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    k = draw(st.one_of(st.just(1), st.integers(1, 5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    perms = [random_permutation(dim, PermutationSeed(seed, j)) for j in range(k)]
+    support = st.one_of(
+        st.just(frozenset()), st.just(frozenset(range(1, dim + 1))), st.sets(st.integers(1, dim))
+    )
+    supports = draw(st.one_of(
+        st.lists(st.just(frozenset()), min_size=1, max_size=3),
+        st.lists(support, min_size=1, max_size=6),
+    ))
+    return dim, perms, [SparseBinaryVector(dim, tuple(sorted(s))) for s in supports]
+
+
+class TestMinHashMatrix:
+    @given(support_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_min_hash_and_brute_force(self, case):
+        dim, perms, points = case
+        flat = np.array([m - 1 for x in points for m in x.support], dtype=np.int64)
+        lengths = np.array([len(x.support) for x in points], dtype=np.int64)
+        got = min_hash_matrix(perms, flat, lengths, dim)
+        assert got.dtype == np.int64 and got.shape == (len(points), len(perms))
+        for row, x in zip(got.tolist(), points):
+            assert row == [as_value(min_hash(x, p)) for p in perms]
+            brute = [min_rank_brute(x.to_dense(), p.rank.tolist()) for p in perms]
+            assert row == [0 if b is None else b for b in brute]
+
+    def test_threaded_equals_serial(self):
+        dim = 20
+        rng = np.random.default_rng(3)
+        points = [SparseBinaryVector(dim, ()), SparseBinaryVector(dim, tuple(range(1, dim + 1)))]
+        points += [
+            SparseBinaryVector(dim, tuple(sorted(rng.choice(dim, size, replace=False) + 1)))
+            for size in (1, 3, 7, 12)
+        ]
+        pack = engine.pack_supports(points)
+        for k in range(1, 6):
+            perms = [random_permutation(dim, PermutationSeed(4, j)) for j in range(k)]
+            serial = engine.sketch_matrix(pack, perms, threads=1)
+            assert np.array_equal(serial, min_hash_matrix(perms, pack.flat, pack.lengths, dim))
+            for threads in range(2, 9):
+                got = engine.sketch_matrix(pack, perms, threads=threads)
+                assert got.dtype == np.int64 and np.array_equal(got, serial)
 
 
 class TestLiftHashMatrix:
@@ -268,6 +323,35 @@ class TestSketchWrappers:
 
 
 class TestWrapperMessages:
+    def test_build_sketch_without_permutations(self):
+        with pytest.raises(ValidationError) as err:
+            build_sketch(X7, [])
+        assert str(err.value) == "need at least one permutation"
+
+    def test_build_sketch_reports_the_mismatched_permutation(self):
+        with pytest.raises(ValidationError) as err:
+            build_sketch(X7, [PI7, PI7, PI8])
+        assert str(err.value) == "vector dimension 7 != permutation dimension 8"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("perm_dim", [5, 9])
+    def test_sketch_matrix_dimension_mismatch(self, threads, perm_dim):
+        # The support reaches position 7, past a narrower permutation.
+        pack = engine.pack_supports([SparseBinaryVector(7, (2, 7)), SparseBinaryVector(7, ())])
+        bad = random_permutation(perm_dim, PermutationSeed(1, 0))
+        for perms in ([bad], [PI7, bad], [PI7, PI7, bad]):
+            with pytest.raises(ValidationError) as err:
+                engine.sketch_matrix(pack, perms, threads=threads)
+            assert str(err.value) == f"vector dimension 7 != permutation dimension {perm_dim}"
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_sketch_matrix_reports_the_first_mismatch(self, threads):
+        pack = engine.pack_supports([X7])
+        perms = [PI7, PI8, random_permutation(5, PermutationSeed(1, 0))]
+        with pytest.raises(ValidationError) as err:
+            engine.sketch_matrix(pack, perms, threads=threads)
+        assert str(err.value) == "vector dimension 7 != permutation dimension 8"
+
     def test_insert_slot_count_mismatch(self):
         with pytest.raises(ValidationError) as err:
             update_sketch_insert(Sketch((1, 2)), [PI7], InsertionBatch((1,), (1,)))
@@ -312,8 +396,6 @@ class TestPackSupports:
         assert pack.count == 3 and pack.dim == 5
         assert pack.flat.dtype == np.int64 and pack.flat.tolist() == [1, 3, 0, 2, 4]
         assert pack.lengths.tolist() == [2, 0, 3]
-        assert pack.nonempty_rows.tolist() == [0, 2]
-        assert pack.nonempty_starts.tolist() == [0, 2]
 
     def test_messages(self):
         with pytest.raises(ValidationError, match="^need at least one point$"):

@@ -21,6 +21,7 @@ from dynsketch.sketch import (
     drop_hash,
     lift_hash,
     min_hash,
+    row_to_sketch,
     update_sketch_delete,
     update_sketch_insert,
 )
@@ -61,7 +62,7 @@ class TestEngineMatchesContracts:
         pack = engine.pack_supports(points)
         matrix = engine.sketch_matrix(pack, perms)
         for i, point in enumerate(points):
-            assert engine.matrix_row_to_sketch(matrix, i) == build_sketch(point, perms)
+            assert row_to_sketch(matrix[i]) == build_sketch(point, perms)
 
     def test_threaded_sketch_matrix_agrees(self, small_world):
         _, points, perms = small_world
@@ -79,9 +80,9 @@ class TestEngineMatchesContracts:
         updated = engine.apply_batch_insert(matrix, perms, batch)
         for i, point in enumerate(points):
             expected = update_sketch_insert(
-                engine.matrix_row_to_sketch(matrix, i), perms, batch
+                row_to_sketch(matrix[i]), perms, batch
             )
-            assert engine.matrix_row_to_sketch(updated, i) == expected
+            assert row_to_sketch(updated[i]) == expected
 
     def test_sequential_insert_matches_folded_lift_hash(self, small_world):
         dim, points, perms = small_world
@@ -93,13 +94,13 @@ class TestEngineMatchesContracts:
 
         for i in range(len(points)):
             for j, perm in enumerate(perms):
-                h = engine.matrix_row_to_sketch(matrix, i).values[j]
+                h = row_to_sketch(matrix[i]).values[j]
                 current = perm
                 for step, (m, b) in enumerate(zip(batch.positions, batch.bits)):
                     slot = m + step
                     h = lift_hash(h, current.value_at(slot), b)
                     current = lift_perm(current, slot)
-                assert engine.matrix_row_to_sketch(updated, i).values[j] == h
+                assert row_to_sketch(updated[i]).values[j] == h
 
     def test_batch_delete_matches_per_slot_rule(self, small_world):
         dim, points, perms = small_world
@@ -109,9 +110,9 @@ class TestEngineMatchesContracts:
         updated = engine.apply_batch_delete(matrix, pack, perms, batch)
         for i, point in enumerate(points):
             expected = update_sketch_delete(
-                engine.matrix_row_to_sketch(matrix, i), perms, point, batch
+                row_to_sketch(matrix[i]), perms, point, batch
             )
-            assert engine.matrix_row_to_sketch(updated, i) == expected
+            assert row_to_sketch(updated[i]) == expected
 
     def test_sequential_delete_matches_folded_drop_hash(self, small_world):
         dim, points, perms = small_world
@@ -124,14 +125,14 @@ class TestEngineMatchesContracts:
 
         for i, point in enumerate(points):
             for j, perm in enumerate(perms):
-                h = engine.matrix_row_to_sketch(matrix, i).values[j]
+                h = row_to_sketch(matrix[i]).values[j]
                 current_perm, current_vec = perm, point
                 for step, m in enumerate(batch.positions):
                     slot = m - step
                     h = drop_hash(h, current_vec, current_perm, slot)
                     current_perm = drop_perm(current_perm, slot)
                     current_vec = delete_features(current_vec, DeletionBatch((slot,)))
-                assert engine.matrix_row_to_sketch(updated, i).values[j] == h
+                assert row_to_sketch(updated[i]).values[j] == h
 
     def test_pairwise_truth_matches_jaccard_true(self, small_world):
         _, points, _ = small_world
@@ -151,9 +152,9 @@ class TestEngineMatchesContracts:
         est = engine.pairwise_estimates(matrix)
         k = 0
         for i in range(len(points)):
-            ski = engine.matrix_row_to_sketch(matrix, i)
+            ski = row_to_sketch(matrix[i])
             for j in range(i + 1, len(points)):
-                skj = engine.matrix_row_to_sketch(matrix, j)
+                skj = row_to_sketch(matrix[j])
                 assert est[k] == pytest.approx(
                     jaccard_estimate(ski, skj).estimated_jaccard
                 )
@@ -169,11 +170,11 @@ class TestEngineMatchesContracts:
         pairs = []
         k = 0
         for i in range(len(points)):
-            ski = engine.matrix_row_to_sketch(matrix, i)
+            ski = row_to_sketch(matrix[i])
             for j in range(i + 1, len(points)):
                 if include[k]:
                     pairs.append(jaccard_estimate(
-                        ski, engine.matrix_row_to_sketch(matrix, j),
+                        ski, row_to_sketch(matrix[j]),
                         true_jaccard=jaccard_true(points[i], points[j]),
                     ))
                 k += 1
