@@ -8,6 +8,14 @@ there stay the scalar API and the tests' reference. This module adds the
 packed supports the kernels read, the column-chunked threading of the base
 sketch, the one-feature-at-a-time sequential paths the experiment times
 against the batch rules, and all-pairs truth and estimates.
+
+Both all-pairs results are condensed (i < j) vectors built by one numpy
+count of co-membership: for estimates the groups are the rows sharing a
+(column, value) of the hash matrix, for truth the points sharing a feature.
+Small groups are enumerated pair by pair; the few large ones, which hold most
+pairs under a long update stream, go through one dense product per row
+block. Apart from the output, scratch memory is bounded by
+``_BLOCK_ENTRIES`` entries per step, and only pairs i < j are ever formed.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy import sparse
 
 from dynsketch.core import DeletionBatch, InsertionBatch, ValidationError
 from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, min_hash_matrix
@@ -127,30 +134,108 @@ def apply_sequential_delete(
 
 
 def pairwise_true_jaccard(pack: SupportPack) -> tuple[np.ndarray, np.ndarray]:
-    """Condensed (i < j) exact Jaccard plus a both-supports-empty mask."""
+    """Condensed (i < j) exact Jaccard plus a both-supports-empty mask.
+
+    The intersections are :func:`_pair_counts` over the features, each
+    grouping the points that hold it; unions and ratios follow one row block
+    at a time.
+    """
     p = pack.count
-    if pack.dim > 0 and pack.flat.size > 0:
-        indptr = np.concatenate([[0], np.cumsum(pack.lengths)])
-        mat = sparse.csr_matrix(
-            (np.ones(pack.flat.size, dtype=np.int64), pack.flat, indptr),
-            shape=(p, pack.dim),
-        )
-        inter = np.asarray((mat @ mat.T).todense(), dtype=np.int64)
-    else:
-        inter = np.zeros((p, p), dtype=np.int64)
+    rows = np.repeat(np.arange(p), pack.lengths)
+    order = np.argsort(pack.flat)
+    features = pack.flat[order]
+    starts = np.flatnonzero(np.diff(features, prepend=-1))
+    jac = _pair_counts(rows[order], starts, np.diff(starts, append=features.size), p)
+    both_empty = np.empty(jac.size, dtype=bool)
     sizes = pack.lengths
-    union = sizes[:, None] + sizes[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-    rows, cols = np.triu_indices(p, k=1)
-    both_empty = (sizes[rows] == 0) & (sizes[cols] == 0)
-    return jac[rows, cols], both_empty
+    empty = sizes == 0
+    for lo, seg, upper in _row_blocks(p):
+        hi = lo + upper.shape[0]
+        inter = jac[seg]
+        union = (sizes[lo:hi, None] + sizes[lo:])[upper] - inter
+        # An empty union has no intersection either, so it gives 0 / 1.
+        np.divide(inter, np.maximum(union, 1), out=inter)
+        both_empty[seg] = (empty[lo:hi, None] & empty[lo:])[upper]
+    return jac, both_empty
 
 
-# Product entries one row block of pairwise_estimates may hold. Blocks are cut
-# on an upper bound of each row's entries, so memory stays bounded however
-# dense the collisions are.
-_ESTIMATE_BLOCK_ENTRIES = 1 << 13
+# Scratch entries one step of the pair counts may hold: enumerated pairs per
+# chunk of small groups, dense one-hot entries per chunk of big groups, and
+# product entries per row block.
+_BLOCK_ENTRIES = 1 << 18
+# Groups of at least P // _SPLIT_DIVISOR rows (and at least 2) go to the dense
+# product; smaller ones are enumerated pair by pair.
+_SPLIT_DIVISOR = 16
+
+
+def _row_blocks(p: int):
+    """Row blocks [lo, lo + rows) of the strict upper triangle of a P x P matrix.
+
+    Yields ``lo``, the condensed slice the block's pairs fill, and the
+    (rows x (P - lo)) mask ``col > row`` that picks them out of the block's
+    columns lo.. in condensed order. A block holds at most
+    ``_BLOCK_ENTRIES`` entries, or one row.
+    """
+    lo = start = 0
+    while lo < p - 1:
+        hi = min(p - 1, lo + max(1, _BLOCK_ENTRIES // (p - lo)))
+        upper = np.arange(p - lo) > np.arange(hi - lo)[:, None]
+        stop = start + (hi - lo) * (2 * p - lo - hi - 1) // 2
+        yield lo, slice(start, stop), upper
+        lo, start = hi, stop
+
+
+def _members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenated ranges [starts[g], starts[g] + sizes[g])."""
+    total = int(sizes.sum())
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(total)
+
+
+def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray:
+    """Condensed (i < j) float64 count of the groups holding both rows i and j.
+
+    Group g holds the distinct rows ``rows[starts[g] : starts[g] + sizes[g]]``.
+    Groups of 2 up to a size split (P // ``_SPLIT_DIVISOR``, at least 2) are
+    enumerated pair by pair and counted with ``np.bincount``, which makes the
+    output buffer. The few at or above the split become the columns of a
+    dense P x G 0/1 matrix X, and each row block adds the strict upper
+    triangle of ``X[lo:hi] @ X[lo:].T`` to its condensed segment in place.
+    Scratch memory holds about ``_BLOCK_ENTRIES`` entries at a time; a chunk
+    of small groups can exceed it only by its last group's pairs.
+    """
+    npairs = p * (p - 1) // 2
+    split = max(2, p // _SPLIT_DIVISOR)
+    small = (sizes >= 2) & (sizes < split)
+    starts_s, sizes_s = starts[small], sizes[small]
+    # Pair (i, j) with i < j sits at condensed index base[i] + j.
+    i = np.arange(p)
+    base = i * (2 * p - i - 3) // 2 - 1
+    chunk = np.cumsum(sizes_s * (sizes_s - 1) // 2) // _BLOCK_ENTRIES
+    cuts = [*np.flatnonzero(np.diff(chunk, prepend=-1)), sizes_s.size]
+    out = None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pos = _members(starts_s[lo:hi], sizes_s[lo:hi])
+        # Each member pairs with the members after it in its group.
+        later = np.repeat(starts_s[lo:hi] + sizes_s[lo:hi], sizes_s[lo:hi]) - pos - 1
+        u = rows[np.repeat(pos, later)]
+        v = rows[_members(pos + 1, later)]
+        idx = base[np.minimum(u, v)] + np.maximum(u, v)
+        if out is None:
+            out = np.bincount(idx, weights=np.ones(idx.size), minlength=npairs)
+        else:
+            np.add.at(out, idx, 1.0)
+    if out is None:
+        out = np.zeros(npairs, dtype=np.float64)
+    big = np.flatnonzero(sizes >= split)
+    width = max(1, _BLOCK_ENTRIES // p)
+    for a in range(0, big.size, width):
+        g = big[a : a + width]
+        # float32 counts are exact up to 2**24 groups and halve the product.
+        x = np.zeros((p, g.size), dtype=np.float32)
+        x[rows[_members(starts[g], sizes[g])], np.repeat(np.arange(g.size), sizes[g])] = 1
+        for lo, seg, upper in _row_blocks(p):
+            out[seg] += (x[lo : lo + upper.shape[0]] @ x[lo:].T)[upper]
+    return out
 
 
 def pairwise_estimates(h: np.ndarray) -> np.ndarray:
@@ -158,46 +243,34 @@ def pairwise_estimates(h: np.ndarray) -> np.ndarray:
 
     Column c of a pair collides when both rows hold the same nonzero value,
     and is comparable unless both rows hold 0; the estimate is collisions
-    over comparable columns. Each distinct (column, value) is one column of a
-    sparse one-hot P x G matrix, weighted 1 for a nonzero value and K + 1 for
-    0, so one sparse product gives ``collisions + (K + 1) * both_zero`` per
-    pair, both parts at most K. Pairs without a collision keep the estimate 0.
+    over comparable columns, and pairs without a collision keep 0. Sorting
+    each column groups the rows by (column, value); :func:`_pair_counts`
+    counts, for i < j only, the nonzero groups holding both rows, and, only
+    when some slot is 0, the zero groups holding both. Scratch memory is
+    bounded by ``_BLOCK_ENTRIES`` entries per step beyond the P x K sort.
     """
     p, k = h.shape
-    out = np.zeros(p * (p - 1) // 2, dtype=np.float64)
     if p < 2 or k == 0:
-        return out
+        return np.zeros(p * (p - 1) // 2, dtype=np.float64)
     ht = h.T
     order = np.argsort(ht, axis=1)
     ordered = np.take_along_axis(ht, order, axis=1).ravel()
-    order = order.ravel()
     first = np.ones(ordered.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     first[::p] = True  # every hash column starts new groups
-    starts = np.append(np.flatnonzero(first), ordered.size)
-    del first  # the dels below free each P x K buffer once used, to lower the peak
-    # Row i has at most as many product entries as its K groups have rows.
-    sizes = np.diff(starts)
-    bound = np.bincount(order, weights=np.repeat(sizes, sizes), minlength=p)
-    del sizes
-    # (G x P) CSR: group g lists the rows holding its value, each weighted
-    # by whether that value is 0. The one-hot P x G factor is its transpose.
-    shape = (starts.size - 1, p)
-    weighted_t = sparse.csr_matrix((np.where(ordered == 0, k + 1, 1), order, starts), shape=shape)
+    starts = np.flatnonzero(first)
+    del first
+    sizes = np.diff(starts, append=ordered.size)
+    zero = ordered[starts] == 0
     del ordered
-    onehot = sparse.csr_matrix((np.ones(p * k, dtype=np.int8), order, starts), shape=shape).T.tocsr()
-    del order, starts
-    block = np.cumsum(np.minimum(bound[: p - 1], p)) // _ESTIMATE_BLOCK_ENTRIES
-    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1), p - 1]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        prod = onehot[lo:hi] @ weighted_t
-        i = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
-        j = prod.indices
-        collisions = prod.data % (k + 1)
-        keep = (j > i) & (collisions > 0)
-        i, j = i[keep], j[keep]
-        comparable = k - prod.data[keep] // (k + 1)
-        out[i * (2 * p - i - 1) // 2 + (j - i - 1)] = collisions[keep] / comparable
+    rows = order.ravel()
+    out = _pair_counts(rows, starts[~zero], sizes[~zero], p)
+    if zero.any():
+        comparable = _pair_counts(rows, starts[zero], sizes[zero], p)
+        np.subtract(k, comparable, out=comparable)
+        np.divide(out, comparable, out=out, where=out > 0)
+    else:
+        out /= k
     return out
 
 

@@ -51,7 +51,7 @@ def random_permutation(d: int, seed: PermutationSeed) -> Permutation:
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed.seed, seed.index]))
-    return Permutation(rng.permutation(d) + 1)
+    return Permutation._from_valid(rng.permutation(d) + 1)
 
 
 def lift_perm(pi: Permutation, position: int) -> Permutation:
@@ -121,8 +121,7 @@ def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
     rank += pi.rank
     # np.insert puts value i before old slot i, i.e. at slot positions[i] + i.
     rank = np.insert(rank, slots, base + below[base])
-    del below  # before Permutation copies and re-validates, to lower the peak
-    return Permutation(rank)
+    return Permutation._from_valid(rank)
 
 
 def multiple_drop_perm(pi: Permutation, positions) -> Permutation:
@@ -135,5 +134,4 @@ def multiple_drop_perm(pi: Permutation, positions) -> Permutation:
     slots, below = _batch_ranks(pi, positions)
     rank = np.delete(pi.rank, slots)
     rank -= below[rank]
-    del below  # as in multiple_lift_perm
-    return Permutation(rank)
+    return Permutation._from_valid(rank)

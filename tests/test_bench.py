@@ -3,10 +3,12 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from dynsketch.core import (
     DeletionBatch,
@@ -182,7 +184,7 @@ class TestEngineMatchesContracts:
 
 
 class TestPairwiseEstimatesExact:
-    """The sparse collision count equals the per-pair loop bit for bit."""
+    """The grouped collision count equals the per-pair loop bit for bit."""
 
     @staticmethod
     def check(h):
@@ -222,16 +224,97 @@ class TestPairwiseEstimatesExact:
             )
         ),
         st.integers(1, 40),
+        st.integers(2, 12),
     )
     @settings(max_examples=150, deadline=None)
-    def test_heavy_collisions_across_row_blocks(self, h, block_entries):
-        # Small blocks make every example cross block boundaries.
-        saved = engine._ESTIMATE_BLOCK_ENTRIES
-        engine._ESTIMATE_BLOCK_ENTRIES = block_entries
-        try:
-            self.check(h)
-        finally:
-            engine._ESTIMATE_BLOCK_ENTRIES = saved
+    def test_heavy_collisions_across_row_blocks(self, h, block_entries, divisor):
+        # Divisor 1 enumerates every group short of a whole column and a huge
+        # divisor sends every group of two or more rows to the dense product,
+        # so each example runs both paths, then a mix of them; small blocks
+        # make every example cross chunk and row-block boundaries.
+        for split_divisor in (1, 1 << 30, divisor):
+            with mock.patch.multiple(
+                engine, _BLOCK_ENTRIES=block_entries, _SPLIT_DIVISOR=split_divisor
+            ):
+                self.check(h)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_value_in_most_rows(self, seed):
+        # The shape of a long insert/delete stream: in every column one value
+        # fills at least 90% of the rows, and EMPTY rows form a zero group big
+        # enough for the dense product (P // 16 = 6 rows here).
+        rng = np.random.default_rng(seed)
+        p, k = 96, 8
+        h = np.tile(rng.integers(1, 50, size=k), (p, 1))
+        rows = rng.permutation(p)
+        h[rows[:6]] = 0
+        h[rows[6:9]] = rng.integers(0, 50, size=(3, k))
+        assert ((h == h[rows[-1]]).mean(axis=0) >= 0.9).all()
+        self.check(h)
+
+
+def true_jaccard_dense(pack):
+    """Condensed exact Jaccard from the full P x P intersection product."""
+    p = pack.count
+    if pack.flat.size:
+        indptr = np.concatenate([[0], np.cumsum(pack.lengths)])
+        mat = sparse.csr_matrix(
+            (np.ones(pack.flat.size, dtype=np.int64), pack.flat, indptr), shape=(p, pack.dim)
+        )
+        inter = np.asarray((mat @ mat.T).todense(), dtype=np.int64)
+    else:
+        inter = np.zeros((p, p), dtype=np.int64)
+    sizes = pack.lengths
+    union = sizes[:, None] + sizes[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+    rows, cols = np.triu_indices(p, k=1)
+    return jac[rows, cols], (sizes[rows] == 0) & (sizes[cols] == 0)
+
+
+class TestPairwiseTrueJaccardChunks:
+    """The row-blocked truth equals the dense P x P computation bit for bit."""
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda dim: st.lists(
+                st.sets(st.integers(1, dim)).map(
+                    lambda s: SparseBinaryVector(dim, tuple(sorted(s)))
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        ),
+        st.integers(1, 40),
+        st.sampled_from([1, 4, 1 << 30]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_product(self, points, block_entries, split_divisor):
+        pack = engine.pack_supports(points)
+        expected, expected_empty = true_jaccard_dense(pack)
+        with mock.patch.multiple(
+            engine, _BLOCK_ENTRIES=block_entries, _SPLIT_DIVISOR=split_divisor
+        ):
+            truth, both_empty = engine.pairwise_true_jaccard(pack)
+        assert truth.dtype == np.float64 and both_empty.dtype == bool
+        assert np.array_equal(truth, expected)
+        assert np.array_equal(both_empty, expected_empty)
+
+    def test_synthetic_corpus_with_default_blocks(self):
+        corpus = synthetic_corpus(3000, 40, 300, seed=5)
+        # Feature 1 in every other point is a group for the dense product.
+        points = [
+            SparseBinaryVector(3000, tuple(sorted({1, *v.support})) if i % 2 else v.support)
+            for i, v in enumerate(corpus.vectors)
+        ]
+        points[7] = SparseBinaryVector(3000, ())
+        points[100] = SparseBinaryVector(3000, ())
+        pack = engine.pack_supports(points)
+        truth, both_empty = engine.pairwise_true_jaccard(pack)
+        expected, expected_empty = true_jaccard_dense(pack)
+        assert np.array_equal(truth, expected)
+        assert np.array_equal(both_empty, expected_empty)
+        assert both_empty.sum() == 1
 
 
 class TestWorkloads:

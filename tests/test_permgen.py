@@ -1,5 +1,7 @@
 """Permutation generation and the lift/drop constructions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,3 +254,60 @@ class TestClosedFormMatchesFold:
     def test_invalid_positions_rejected(self, fn, positions):
         with pytest.raises(ValidationError):
             fn(Permutation([2, 1, 3]), positions)
+
+
+class TestTrustedConstruction:
+    """Generation and the batch lineage maps build their output unchecked."""
+
+    @staticmethod
+    def check_trusted(perm):
+        assert perm == Permutation(perm.rank)
+        assert perm.rank.dtype == np.int64
+        assert not perm.rank.flags.writeable
+        with pytest.raises(ValueError):
+            perm.rank[0] = 1
+
+    @given(perm_and_any_batch())
+    @settings(max_examples=100)
+    def test_outputs_equal_the_checked_constructor(self, case):
+        perm, positions = case
+        self.check_trusted(perm)
+        self.check_trusted(multiple_lift_perm(perm, positions))
+        if len(positions) < perm.dim:  # a zero-dimension output has no slot to write
+            self.check_trusted(multiple_drop_perm(perm, positions))
+
+    def test_large_generation_is_trusted(self):
+        self.check_trusted(random_permutation(100_000, PermutationSeed(3, 1)))
+
+    @pytest.mark.parametrize(
+        "rank, message",
+        [
+            ([1, 1], "ranks must not repeat"),
+            ([0, 1], "ranks must lie in 1..2"),
+            ([1, 3], "ranks must lie in 1..2"),
+        ],
+    )
+    def test_public_constructor_still_checks(self, rank, message):
+        with pytest.raises(ValidationError, match=message):
+            Permutation(rank)
+
+
+class TestSeedContract:
+    """The (seed, index) pair names one permutation for good: a change to the
+    generator must not shift every stored sketch silently."""
+
+    @pytest.mark.parametrize(
+        "d, seed, index, digest",
+        [
+            (1, 0, 0, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+            (2, 5, 1, "0c730b69905c5ef7a4ca5269f72365400bde2dd2c04eaf9bbb3d1c4a265a0131"),
+            (10, 7, 3, "eff84d811b275bf7bff1bc1b435fdd2558bdc498415e886127a07cd36fa995ba"),
+            (1000, 1, 0, "ecd8eeca215b99f4909214771fd6075d0bca0a95b0b18fb81c755164c119d22a"),
+            (20000, 1, 31, "c873e4c6dcedd57d1122243e1662173e6f002633dbb4bd0786eda010b099d375"),
+            (100000, 0, 0, "043feac25f5bdffcdc66dac5b75c1a4831307d4766fca663a6d0ecb7a7eb5d69"),
+            (100000, 123456789, 127, "f65377de89c1cc672e126e9774eb50dd4e6539b21365748c2019eeab588e892e"),
+        ],
+    )
+    def test_rank_digest_is_pinned(self, d, seed, index, digest):
+        rank = random_permutation(d, PermutationSeed(seed, index)).rank
+        assert hashlib.sha256(rank.tobytes()).hexdigest() == digest
