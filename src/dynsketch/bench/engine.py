@@ -24,7 +24,6 @@ import hashlib
 from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -49,10 +48,9 @@ def pack_supports(vectors) -> SupportPack:
     dim = vectors[0].dim
     if any(v.dim != dim for v in vectors):
         raise ValidationError("all points must share one dimension")
-    lengths = np.fromiter((len(v.support) for v in vectors), dtype=np.int64, count=len(vectors))
-    flat = np.fromiter(
-        chain.from_iterable(v.support for v in vectors), dtype=np.int64, count=int(lengths.sum())
-    )
+    supports = [v.support_index() for v in vectors]
+    lengths = np.fromiter((s.size for s in supports), dtype=np.int64, count=len(supports))
+    flat = np.concatenate(supports)
     flat -= 1
     return SupportPack(count=len(vectors), dim=dim, flat=flat, lengths=lengths)
 
@@ -110,7 +108,7 @@ def apply_sequential_delete(
 ) -> np.ndarray:
     """One drop_hash application per batch entry, oldest position first."""
     out = h.copy()
-    dpos = np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1
+    dpos = batch.position_array - 1
     ends = np.cumsum(pack.lengths)
     for j, perm in enumerate(perms):
         col = out[:, j]

@@ -11,7 +11,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,10 +59,19 @@ def _as_positions(
 
 @dataclass(frozen=True)
 class SparseBinaryVector:
-    """A point in {0,1}^dim stored as its dimension plus sorted 1-positions."""
+    """A point in {0,1}^dim stored as its dimension plus sorted 1-positions.
+
+    The support is also held as a read-only 1-based int64 array, which
+    :meth:`support_index` returns without a copy. A vector from the public
+    constructor keeps its validated tuple and builds the array on first use;
+    one from the vector edits holds only the array, and builds the tuple of
+    Python ints the first time ``support`` is read.
+    """
 
     dim: int
-    support: tuple[int, ...] = ()
+    # A factory, not a plain default, so that the class has no ``support``
+    # attribute to shadow :meth:`__getattr__`, which builds an edit's tuple.
+    support: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         dim = int(self.dim)
@@ -86,16 +95,33 @@ class SparseBinaryVector:
 
     @classmethod
     def _from_valid(cls, dim: int, support: np.ndarray) -> "SparseBinaryVector":
-        """Wrap a support that is valid by construction, skipping the checks.
+        """Take ownership of a support array that is valid by construction,
+        skipping the checks and the tuple.
 
-        For the vector edits only: they build a 1-based, strictly increasing
-        support at most ``dim`` from a valid vector and batch, and checking it
-        again would take a sixth to a fifth of an edit's time.
+        For the vector edits only: they build a fresh 1-based, strictly
+        increasing int64 support at most ``dim`` from a valid vector and
+        batch. The array is made read-only and becomes the vector's
+        :meth:`support_index`.
         """
+        support.setflags(write=False)
         vector = object.__new__(cls)
         object.__setattr__(vector, "dim", dim)
-        object.__setattr__(vector, "support", tuple(support.tolist()))
+        object.__setattr__(vector, "_index", support)
         return vector
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance does not hold: the
+        # support of an edited vector, whose tuple is built here once.
+        if name == "support" and "_index" in self.__dict__:
+            support = tuple(self._index.tolist())
+            object.__setattr__(self, "support", support)
+            return support
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, which gives each its
+        # own read-only array; numpy's copy of the array would be writable.
+        return type(self), (self.dim, self.support)
 
     def to_dense(self) -> list[int]:
         dense = [0] * self.dim
@@ -104,11 +130,17 @@ class SparseBinaryVector:
         return dense
 
     def support_index(self) -> np.ndarray:
-        """The 1-based support as an int64 numpy array.
+        """The 1-based support as a read-only int64 numpy array, the same
+        object on every call.
 
         Subtract 1 to index ``Permutation.rank``, as every caller does.
         """
-        return np.fromiter(self.support, dtype=np.int64, count=len(self.support))
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = np.fromiter(self.support, dtype=np.int64, count=len(self.support))
+            index.setflags(write=False)
+            object.__setattr__(self, "_index", index)
+        return index
 
 
 class Permutation:
@@ -204,6 +236,17 @@ class Sketch:
         return len(self.values)
 
 
+def _batch_array(values: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only int64 array of a batch's increasing 1-based positions."""
+    if values and values[-1] > _INT64_MAX:
+        raise ValidationError(
+            f"{what} {values[-1]} exceeds {_INT64_MAX}, the largest a batch takes"
+        )
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class InsertionBatch:
     """Sorted distinct positions to insert, with the bit value for each.
@@ -211,10 +254,17 @@ class InsertionBatch:
     Positions are expressed in the pre-insertion frame; processing them in
     ascending order, insertion i lands at index ``positions[i] + i`` of the
     widened vector (0-based i).
+
+    ``position_array``, ``one_mask`` and ``landed_ones`` are read-only arrays
+    built once from the tuples: the positions as int64, which entries insert
+    a 1, and the landed positions ``positions[i] + i`` of those 1-bits.
     """
 
     positions: tuple[int, ...]
     bits: tuple[int, ...]
+    position_array: np.ndarray = field(init=False, compare=False, repr=False)
+    one_mask: np.ndarray = field(init=False, compare=False, repr=False)
+    landed_ones: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         positions = _as_positions(self.positions)
@@ -225,8 +275,14 @@ class InsertionBatch:
             raise ValidationError("positions and bits must have equal length")
         if any(b not in (0, 1) for b in bits):
             raise ValidationError("bits must be 0 or 1")
+        landed = tuple(m + i for i, (m, b) in enumerate(zip(positions, bits)) if b == 1)
+        one_mask = np.array(bits, dtype=bool)
+        one_mask.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "position_array", _batch_array(positions, "position"))
+        object.__setattr__(self, "one_mask", one_mask)
+        object.__setattr__(self, "landed_ones", _batch_array(landed, "landed position"))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -240,15 +296,20 @@ class InsertionBatch:
 
 @dataclass(frozen=True)
 class DeletionBatch:
-    """Sorted distinct positions to delete, in the pre-deletion frame."""
+    """Sorted distinct positions to delete, in the pre-deletion frame.
+
+    ``position_array`` is the positions as a read-only int64 array.
+    """
 
     positions: tuple[int, ...]
+    position_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         positions = _as_positions(self.positions)
         if not positions:
             raise ValidationError("batch must contain at least one position")
         object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "position_array", _batch_array(positions, "position"))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -284,10 +345,9 @@ def insert_features(vector: SparseBinaryVector, batch: InsertionBatch) -> Sparse
     batch.validate_for_dim(vector.dim)
     dim = _edit_dim(vector.dim + len(batch))
     support = vector.support_index()
-    support += np.searchsorted(batch.positions, support, side="right")
-    new_ones = [m + i for i, (m, b) in enumerate(zip(batch.positions, batch.bits)) if b == 1]
-    if new_ones:
-        support = np.sort(np.concatenate((support, new_ones)))
+    support = support + np.searchsorted(batch.position_array, support, side="right")
+    if batch.landed_ones.size:
+        support = np.sort(np.concatenate((support, batch.landed_ones)))
     return SparseBinaryVector._from_valid(dim, support)
 
 
@@ -296,7 +356,7 @@ def delete_features(vector: SparseBinaryVector, batch: DeletionBatch) -> SparseB
     number of deleted positions below j."""
     batch.validate_for_dim(vector.dim)
     _edit_dim(vector.dim)
-    positions = np.array(batch.positions, dtype=np.int64)
+    positions = batch.position_array
     support = vector.support_index()
     below = np.searchsorted(positions, support)
     # A support element above every position clips to the last one and is kept.

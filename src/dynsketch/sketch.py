@@ -37,9 +37,10 @@ def min_hash(vector: SparseBinaryVector, pi: Permutation) -> HashValue:
         raise ValidationError(
             f"vector dimension {vector.dim} != permutation dimension {pi.dim}"
         )
-    if not vector.support:
+    support = vector.support_index()
+    if not support.size:
         return EMPTY
-    return int(pi.rank[vector.support_index() - 1].min())
+    return int(pi.rank[support - 1].min())
 
 
 def min_hash_matrix(perms, flat: np.ndarray, lengths: np.ndarray, dim: int) -> np.ndarray:
@@ -102,10 +103,10 @@ def partial_min_hash(pi: Permutation, positions, bits):
     """
     batch = InsertionBatch(tuple(positions), tuple(bits))
     batch.validate_for_dim(pi.dim)
-    ones = np.fromiter(batch.bits, dtype=np.int64, count=len(batch)) == 1
+    ones = batch.one_mask
     if not ones.any():
         return None
-    base = pi.rank[np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1]
+    base = pi.rank[batch.position_array - 1]
     smaller = np.empty(len(base), dtype=np.int64)
     smaller[np.argsort(base, kind="stable")] = np.arange(len(base))
     return int((base + smaller)[ones].min())
@@ -124,7 +125,7 @@ def multiple_lift_hash(old_hash: HashValue, pi: Permutation, positions, bits) ->
     old_hash = _as_hash(old_hash)
     if old_hash is EMPTY:
         return EMPTY if partial is None else partial
-    ranks = pi.rank[np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1]
+    ranks = pi.rank[batch.position_array - 1]
     shifted = old_hash + int((ranks <= old_hash).sum())
     return shifted if partial is None else min(shifted, partial)
 
@@ -185,7 +186,7 @@ def multiple_drop_hash(
     old_hash = _as_hash(old_hash)
     if old_hash is EMPTY:
         return EMPTY
-    idx = np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1
+    idx = batch.position_array - 1
     deleted = np.sort(pi.rank[idx])
     below_eq = int(np.searchsorted(deleted, old_hash, side="right"))
     was_deleted = below_eq > 0 and int(deleted[below_eq - 1]) == old_hash
@@ -213,7 +214,7 @@ def _batch_ranks(perms, batch, dim: int | None = None) -> np.ndarray:
     Checks each permutation in turn, in the per-slot rules' order: that it
     has dimension ``dim`` when one is given, then that the batch fits it.
     """
-    idx = np.fromiter(batch.positions, dtype=np.int64, count=len(batch)) - 1
+    idx = batch.position_array - 1
     ranks = np.empty((len(perms), len(batch)), dtype=np.int64)
     for k, p in enumerate(perms):
         if dim is not None and p.dim != dim:
@@ -286,7 +287,7 @@ def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
     if 1 in batch.bits:
         # Inserted element i lands at rank w_i + #{w < w_i}, which rises with
         # w_i, so a column's best 1-bit is its smallest 1-bit base rank.
-        w1 = w[:, np.array(batch.bits, dtype=bool)].min(axis=1)
+        w1 = w[:, batch.one_mask].min(axis=1)
         best = w1 + (w < w1[:, None]).sum(axis=1)
         np.minimum(out, best, out=out)
         np.copyto(out, best, where=h == 0)

@@ -6,6 +6,9 @@ agree by both being right.
 """
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
+
+import numpy as np
 
 from dynsketch.core import SparseBinaryVector
 
@@ -124,3 +127,14 @@ def delete_features_bisect(vector, batch):
         j - bisect_left(positions, j) for j in vector.support if j not in deleted
     ]
     return SparseBinaryVector(vector.dim - len(batch), tuple(survivors))
+
+
+def pack_supports_tuples(vectors):
+    """The 0-based flat supports and per-point lengths of a pack, read from
+    the vectors' support tuples."""
+    vectors = list(vectors)
+    lengths = np.fromiter((len(v.support) for v in vectors), dtype=np.int64, count=len(vectors))
+    flat = np.fromiter(
+        chain.from_iterable(v.support for v in vectors), dtype=np.int64, count=int(lengths.sum())
+    )
+    return flat - 1, lengths

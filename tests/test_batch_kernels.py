@@ -46,7 +46,7 @@ from dynsketch.sketch import (
     update_sketch_insert,
 )
 
-from _reference import min_rank_brute
+from _reference import min_rank_brute, pack_supports_tuples
 
 
 @st.composite
@@ -402,3 +402,47 @@ class TestPackSupports:
             engine.pack_supports([])
         with pytest.raises(ValidationError, match="^all points must share one dimension$"):
             engine.pack_supports([SparseBinaryVector(3, (1,)), SparseBinaryVector(4, ())])
+        edited = delete_features(SparseBinaryVector(4, (1, 4)), DeletionBatch((2,)))
+        with pytest.raises(ValidationError, match="^all points must share one dimension$"):
+            engine.pack_supports([edited, SparseBinaryVector(4, (1,))])
+
+    @staticmethod
+    def assert_packs_like_tuples(points):
+        pack = engine.pack_supports(points)
+        flat, lengths = pack_supports_tuples(points)
+        assert pack.flat.dtype == np.int64 and np.array_equal(pack.flat, flat)
+        assert pack.lengths.dtype == np.int64 and np.array_equal(pack.lengths, lengths)
+
+    @given(
+        st.integers(1, 24).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                st.lists(st.sets(st.integers(1, dim)), min_size=1, max_size=6),
+                st.lists(st.booleans(), min_size=6, max_size=6),
+                st.sets(st.integers(1, dim), min_size=1),
+            )
+        )
+    )
+    @settings(max_examples=150)
+    def test_mixed_constructor_and_edit_built_points(self, case):
+        dim, supports, edit, positions = case
+        positions = tuple(sorted(positions))
+        # Inserting 0-bits and deleting the slots they landed in gives the
+        # vector back, held as an array only.
+        landed = DeletionBatch(tuple(m + i for i, m in enumerate(positions)))
+        zeros = InsertionBatch(positions, (0,) * len(positions))
+        points = [
+            delete_features(insert_features(SparseBinaryVector(dim, tuple(sorted(s))), zeros), landed)
+            if e
+            else SparseBinaryVector(dim, tuple(sorted(s)))
+            for s, e in zip(supports, edit)
+        ]
+        self.assert_packs_like_tuples(points)
+        self.assert_packs_like_tuples(points[:1])
+
+    def test_single_and_all_empty_points(self):
+        self.assert_packs_like_tuples([SparseBinaryVector(5, (1, 5))])
+        empty = [SparseBinaryVector(3), delete_features(SparseBinaryVector(4, (2,)), DeletionBatch((2,)))]
+        for points in (empty[:1], empty[1:], empty):
+            self.assert_packs_like_tuples(points)
+            assert engine.pack_supports(points).flat.size == 0

@@ -1,5 +1,8 @@
 """Vector editing and domain-type validation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,6 +94,16 @@ class TestSparseBinaryVector:
         assert type(v.support) is tuple
         assert all(type(x) is int for x in v.support)
 
+    def test_empty_support_index_is_int64(self):
+        for v in (
+            SparseBinaryVector(3),
+            delete_features(vec(0, 1, 0), DeletionBatch((2,))),
+            insert_features(SparseBinaryVector(2), InsertionBatch((1,), (0,))),
+        ):
+            assert v.support_index().dtype == np.int64
+            assert v.support_index().size == 0
+            assert v.support == ()
+
     def test_rejects_negative_dim_and_bad_dense(self):
         with pytest.raises(ValidationError):
             SparseBinaryVector(-1)
@@ -139,6 +152,57 @@ class TestBatches:
             InsertionBatch((1, 2), (1,))
         with pytest.raises(ValidationError):
             InsertionBatch((), ())
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            InsertionBatch((2, 5, 9), (1, 0, 1)),
+            InsertionBatch((3,), (0,)),
+            DeletionBatch((1, 4)),
+        ],
+        ids=["insertion", "all-zero-insertion", "deletion"],
+    )
+    def test_arrays_are_read_only_copies_of_the_tuples(self, batch):
+        arrays = [batch.position_array]
+        assert batch.position_array.dtype == np.int64
+        assert batch.position_array.tolist() == list(batch.positions)
+        if isinstance(batch, InsertionBatch):
+            arrays += [batch.one_mask, batch.landed_ones]
+            assert batch.one_mask.tolist() == [b == 1 for b in batch.bits]
+            assert batch.landed_ones.dtype == np.int64
+            landed = [m + i for i, (m, b) in enumerate(zip(batch.positions, batch.bits)) if b]
+            assert batch.landed_ones.tolist() == landed
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_all_zero_insertion_lands_no_ones(self):
+        batch = InsertionBatch((1, 2, 3), (0, 0, 0))
+        assert batch.landed_ones.size == 0 and batch.landed_ones.dtype == np.int64
+
+    def test_arrays_leave_eq_hash_and_repr_alone(self):
+        a, b = InsertionBatch((2, 5), (1, 0)), InsertionBatch([2, 5], [True, 0])
+        assert a == b and hash(a) == hash(b) and hash(a) == hash(((2, 5), (1, 0)))
+        assert repr(a) == "InsertionBatch(positions=(2, 5), bits=(1, 0))"
+        assert a != InsertionBatch((2, 5), (0, 1))
+        d = DeletionBatch((1, 4))
+        assert d == DeletionBatch([1, 4]) and hash(d) == hash(((1, 4),))
+        assert repr(d) == "DeletionBatch(positions=(1, 4))"
+
+    def test_positions_past_int64_are_rejected(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"^position 9223372036854775808 exceeds 9223372036854775807, the largest a batch takes$",
+        ):
+            DeletionBatch((1, 2**63))
+        with pytest.raises(
+            ValidationError,
+            match=r"^landed position 9223372036854775808 exceeds 9223372036854775807, the largest a batch takes$",
+        ):
+            InsertionBatch((2**63 - 2, 2**63 - 1), (0, 1))
+        # A 0-bit lands nowhere, so only the positions must fit.
+        InsertionBatch((2**63 - 2, 2**63 - 1), (1, 0))
 
     def test_out_of_range_positions_rejected_at_use(self):
         with pytest.raises(ValidationError):
@@ -287,3 +351,56 @@ class TestEditsMatchBisectOracle:
             insert_features(SparseBinaryVector(2**63 - 1, (5,)), InsertionBatch((1,), (1,)))
         with pytest.raises(ValidationError, match="exceeds 9223372036854775807"):
             delete_features(SparseBinaryVector(2**64, (5,)), DeletionBatch((2**63,)))
+
+
+def assert_vector_contract(v):
+    index = v.support_index()
+    assert index.dtype == np.int64
+    assert not index.flags.writeable
+    assert v.support_index() is index
+    assert type(v.support) is tuple
+    assert all(type(x) is int for x in v.support)
+    assert index.tolist() == list(v.support)
+    with pytest.raises(AttributeError):
+        v.dim = v.dim
+    with pytest.raises(AttributeError):
+        v.support = v.support
+
+
+class TestVectorContract:
+    """A vector from the edits, which holds only its array until the tuple is
+    read, is indistinguishable from the constructor's vector."""
+
+    @given(edit_case())
+    @settings(max_examples=200)
+    def test_edit_built_and_constructed_vectors_agree(self, case):
+        vector, positions, bits = case
+        insertion, deletion = InsertionBatch(positions, bits), DeletionBatch(positions)
+        wrapped = SparseBinaryVector._from_valid(
+            vector.dim, np.array(vector.support, dtype=np.int64)
+        )
+        pairs = [
+            (insert_features(vector, insertion), insert_features_bisect(vector, insertion)),
+            (delete_features(vector, deletion), delete_features_bisect(vector, deletion)),
+            (wrapped, vector),
+        ]
+        for i, (edited, built) in enumerate(pairs):
+            # Each check comes first once, so each builds the edited tuple.
+            checks = [
+                lambda: edited == built and built == edited,
+                lambda: hash(edited) == hash(built),
+                lambda: repr(edited) == repr(built),
+            ]
+            assert checks[i]()
+            assert all(check() for check in checks)
+            assert_vector_contract(edited)
+            assert_vector_contract(built)
+
+    @given(edit_case())
+    @settings(max_examples=50)
+    def test_copies_keep_the_contract(self, case):
+        vector, positions, bits = case
+        edited = insert_features(vector, InsertionBatch(positions, bits))
+        for twin in (copy.copy(edited), copy.deepcopy(edited), pickle.loads(pickle.dumps(edited))):
+            assert twin == edited
+            assert_vector_contract(twin)
