@@ -1,12 +1,12 @@
 """Command-line benchmark harness.
 
 Subcommands:
-
-* ``insert`` / ``delete``: run an update-rule vs from-scratch experiment and
-  emit RMSE / timing / speedup rows as CSV or a human table.
-* ``uniformity``: empirical minwise-uniformity check of the permutation
-  sources (random generation, lifted, dropped).
-* ``parse-check``: parse a docword file and report its shape.
+  insert        run the feature-insertion experiment: the update rules against
+                re-sketching, as CSV or a human table of RMSE, timing and speedup
+  delete        the same experiment for feature deletion
+  uniformity    empirical minwise-uniformity check of the permutation sources
+                (random generation, lifted, dropped)
+  parse-check   parse a docword file and report its shape
 
 Exit codes: 0 success, 1 validation problem, 2 I/O or malformed input.
 """
@@ -105,7 +105,9 @@ def _add_experiment_flags(sub):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="dynsketch", description=__doc__)
+    parser = _Parser(
+        prog="dynsketch", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     for mode, help_text in (

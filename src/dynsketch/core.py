@@ -1,4 +1,4 @@
-"""Domain types for sparse binary vectors, permutations, and minwise sketches.
+"""Domain types for sparse binary vectors, permutations, minwise sketches and packed supports.
 
 All positions and ranks are 1-based at the API boundary. "Position" names a
 feature slot of a vector, "rank" names the value a permutation assigns to a
@@ -26,6 +26,9 @@ class _EmptyHash:
     __slots__ = ()
 
     def __repr__(self) -> str:
+        return "EMPTY"
+
+    def __reduce__(self):  # by name: copies and pickles are the singleton
         return "EMPTY"
 
 
@@ -221,15 +224,23 @@ def _as_hash(value) -> HashValue:
 
 @dataclass(frozen=True)
 class Sketch:
-    """K minwise hash values for one point, entry j taken under permutation j."""
+    """K minwise hash values for one point, entry j taken under permutation j,
+    also held as ``row``, a read-only int64 hash-matrix row with 0 for EMPTY."""
 
     values: tuple
+    row: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = tuple(_as_hash(v) for v in self.values)
         if not values:
             raise ValidationError("a sketch needs at least one slot")
+        row = np.array([0 if v is EMPTY else v for v in values], dtype=np.int64)
+        row.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "row", row)
+
+    def __reduce__(self):
+        return type(self), (self.values,)
 
     @property
     def num_perms(self) -> int:
@@ -284,6 +295,9 @@ class InsertionBatch:
         object.__setattr__(self, "one_mask", one_mask)
         object.__setattr__(self, "landed_ones", _batch_array(landed, "landed position"))
 
+    def __reduce__(self):  # through the constructor, as for vectors
+        return type(self), (self.positions, self.bits)
+
     def __len__(self) -> int:
         return len(self.positions)
 
@@ -310,6 +324,9 @@ class DeletionBatch:
             raise ValidationError("batch must contain at least one position")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "position_array", _batch_array(positions, "position"))
+
+    def __reduce__(self):
+        return type(self), (self.positions,)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -362,3 +379,27 @@ def delete_features(vector: SparseBinaryVector, batch: DeletionBatch) -> SparseB
     # A support element above every position clips to the last one and is kept.
     kept = positions.take(below, mode="clip") != support
     return SparseBinaryVector._from_valid(vector.dim - len(batch), (support - below)[kept])
+
+
+@dataclass(frozen=True)
+class SupportPack:
+    """Supports of many points flattened for gather/reduceat kernels."""
+
+    count: int
+    dim: int
+    flat: np.ndarray       # all 0-based supports concatenated
+    lengths: np.ndarray    # per-point support sizes
+
+
+def pack_supports(vectors) -> SupportPack:
+    vectors = list(vectors)
+    if not vectors:
+        raise ValidationError("need at least one point")
+    dim = vectors[0].dim
+    if any(v.dim != dim for v in vectors):
+        raise ValidationError("all points must share one dimension")
+    supports = [v.support_index() for v in vectors]
+    lengths = np.fromiter((s.size for s in supports), dtype=np.int64, count=len(supports))
+    flat = np.concatenate(supports)
+    flat -= 1
+    return SupportPack(count=len(vectors), dim=dim, flat=flat, lengths=lengths)

@@ -10,8 +10,9 @@ materializing that permutation. The lifted/dropped constructions in
 are the scalar API and the tests' independent reference. Whole sketches and
 hash matrices go through one kernel per operation, :func:`min_hash_matrix`,
 :func:`lift_hash_matrix` and :func:`drop_hash_matrix`, on a (points x
-permutations) int64 matrix with 0 for EMPTY; :func:`build_sketch`,
-:func:`update_sketch_insert` and :func:`update_sketch_delete` are 1-row calls.
+permutations) int64 matrix with 0 for EMPTY, over a ``SupportPack``;
+:func:`build_sketch`, :func:`update_sketch_insert` and
+:func:`update_sketch_delete` are 1-row calls on ``Sketch.row``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from dynsketch.core import (
     Permutation,
     Sketch,
     SparseBinaryVector,
+    SupportPack,
     ValidationError,
     _as_hash,
+    pack_supports,
 )
 
 
@@ -43,13 +46,12 @@ def min_hash(vector: SparseBinaryVector, pi: Permutation) -> HashValue:
     return int(pi.rank[support - 1].min())
 
 
-def min_hash_matrix(perms, flat: np.ndarray, lengths: np.ndarray, dim: int) -> np.ndarray:
-    """:func:`min_hash` of every point under every permutation, 0 for EMPTY.
-
-    The supports are laid out as for :func:`drop_hash_matrix`; each
-    permutation's dimension is checked against ``dim`` in turn.
+def min_hash_matrix(perms, pack: SupportPack) -> np.ndarray:
+    """:func:`min_hash` of every packed point under every permutation, 0 for
+    EMPTY; each permutation's dimension is checked against the pack's in turn.
     """
     perms = list(perms)
+    flat, lengths, dim = pack.flat, pack.lengths, pack.dim
     out = np.zeros((lengths.size, len(perms)), dtype=np.int64)
     rows = np.flatnonzero(lengths)
     starts = (np.cumsum(lengths) - lengths)[rows]
@@ -65,8 +67,7 @@ def build_sketch(vector: SparseBinaryVector, perms) -> Sketch:
     perms = list(perms)
     if not perms:
         raise ValidationError("need at least one permutation")
-    flat = vector.support_index() - 1
-    return row_to_sketch(min_hash_matrix(perms, flat, np.array([flat.size]), vector.dim)[0])
+    return row_to_sketch(min_hash_matrix(perms, pack_supports([vector]))[0])
 
 
 def lift_hash(old_hash: HashValue, inserted_rank: int, bit: int) -> HashValue:
@@ -294,23 +295,16 @@ def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
     return out
 
 
-def drop_hash_matrix(
-    h: np.ndarray,
-    perms,
-    batch: DeletionBatch,
-    flat: np.ndarray,
-    lengths: np.ndarray,
-    dim: int,
-) -> np.ndarray:
+def drop_hash_matrix(h: np.ndarray, perms, batch: DeletionBatch, pack: SupportPack) -> np.ndarray:
     """:func:`multiple_drop_hash` on every slot of a hash matrix at once.
 
-    ``h`` is laid out as for :func:`lift_hash_matrix`. Row i's support is
-    ``lengths[i]`` 0-based positions of ``flat``, taken in row order, of a
-    vector of dimension ``dim``. A hash r that survives becomes r - #{w <= r};
-    a deleted one is replaced by the smallest surviving support rank v, as
+    ``h`` is laid out as for :func:`lift_hash_matrix`, and row i's support is
+    point i of ``pack``. A hash r that survives becomes r - #{w <= r}; a
+    deleted one is replaced by the smallest surviving support rank v, as
     v - #{w < v}, or by EMPTY when nothing survives.
     """
     perms = list(perms)
+    flat, lengths, dim = pack.flat, pack.lengths, pack.dim
     n = len(batch)
     w_sorted = np.sort(_batch_ranks(perms, batch, dim), axis=1)
     # The hit pass below searches support ranks, which reach up to dim.
@@ -352,13 +346,8 @@ def drop_hash_matrix(
     return out
 
 
-def sketch_to_row(sk: Sketch) -> np.ndarray:
-    """A sketch as a 1 x K hash matrix, 0 for EMPTY."""
-    return np.array([[0 if v is EMPTY else v for v in sk.values]], dtype=np.int64)
-
-
 def row_to_sketch(row: np.ndarray) -> Sketch:
-    """One hash-matrix row as a Sketch, 0 becoming EMPTY."""
+    """One hash-matrix row as a Sketch: the one place 0 becomes EMPTY."""
     return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
 
 
@@ -378,7 +367,7 @@ def update_sketch_insert(sk: Sketch, perms, batch: InsertionBatch) -> Sketch:
     """
     perms = list(perms)
     _check_slot_count(sk, perms)
-    return row_to_sketch(lift_hash_matrix(sketch_to_row(sk), perms, batch)[0])
+    return row_to_sketch(lift_hash_matrix(sk.row[None], perms, batch)[0])
 
 
 def update_sketch_delete(
@@ -388,7 +377,4 @@ def update_sketch_delete(
     :func:`drop_hash_matrix` row."""
     perms = list(perms)
     _check_slot_count(sk, perms)
-    flat = vector.support_index() - 1
-    lengths = np.array([flat.size], dtype=np.int64)
-    out = drop_hash_matrix(sketch_to_row(sk), perms, batch, flat, lengths, vector.dim)
-    return row_to_sketch(out[0])
+    return row_to_sketch(drop_hash_matrix(sk.row[None], perms, batch, pack_supports([vector]))[0])

@@ -97,15 +97,22 @@ def pairwise_estimates_loops(rows):
     out = []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            collisions = comparable = 0
-            for a, b in zip(rows[i], rows[j]):
-                if a == 0 and b == 0:
-                    continue
-                comparable += 1
-                if a == b:
-                    collisions += 1
+            collisions, comparable = slot_counts_loops(rows[i], rows[j])
             out.append(collisions / comparable if comparable else 0.0)
     return out
+
+
+def slot_counts_loops(row_a, row_b):
+    """Colliding and comparable slots of two hash rows, one slot at a time,
+    as :func:`pairwise_estimates_loops` counts them."""
+    collisions = comparable = 0
+    for a, b in zip(row_a, row_b):
+        if a == 0 and b == 0:
+            continue
+        comparable += 1
+        if a == b:
+            collisions += 1
+    return collisions, comparable
 
 
 def insert_features_bisect(vector, batch):

@@ -24,6 +24,7 @@ from dynsketch.core import (
     Permutation,
     Sketch,
     SparseBinaryVector,
+    SupportPack,
     ValidationError,
     delete_features,
     insert_features,
@@ -126,7 +127,7 @@ def kernel_insert(h, perms, batch, block):
 def kernel_delete(h, points, perms, batch, block):
     pack = engine.pack_supports(points)
     with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
-        return drop_hash_matrix(h, perms, batch, pack.flat, pack.lengths, pack.dim)
+        return drop_hash_matrix(h, perms, batch, pack)
 
 
 @st.composite
@@ -153,7 +154,7 @@ class TestMinHashMatrix:
         dim, perms, points = case
         flat = np.array([m - 1 for x in points for m in x.support], dtype=np.int64)
         lengths = np.array([len(x.support) for x in points], dtype=np.int64)
-        got = min_hash_matrix(perms, flat, lengths, dim)
+        got = min_hash_matrix(perms, SupportPack(len(points), dim, flat, lengths))
         assert got.dtype == np.int64 and got.shape == (len(points), len(perms))
         for row, x in zip(got.tolist(), points):
             assert row == [as_value(min_hash(x, p)) for p in perms]
@@ -172,7 +173,7 @@ class TestMinHashMatrix:
         for k in range(1, 6):
             perms = [random_permutation(dim, PermutationSeed(4, j)) for j in range(k)]
             serial = engine.sketch_matrix(pack, perms, threads=1)
-            assert np.array_equal(serial, min_hash_matrix(perms, pack.flat, pack.lengths, dim))
+            assert np.array_equal(serial, min_hash_matrix(perms, pack))
             for threads in range(2, 9):
                 got = engine.sketch_matrix(pack, perms, threads=threads)
                 assert got.dtype == np.int64 and np.array_equal(got, serial)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import pytest
 
@@ -163,3 +164,10 @@ class TestHelp:
         assert "feature-insertion" in text
         assert "feature-deletion" in text
         assert "deleteion" not in text
+
+    def test_description_puts_each_subcommand_on_its_own_line(self):
+        text = build_parser().format_help()
+        description = text.split("positional arguments:")[0]
+        for name in ("insert", "delete", "uniformity", "parse-check"):
+            assert re.search(rf"^  {name}  ", description, re.M), name
+        assert "``" not in text

@@ -404,3 +404,27 @@ class TestVectorContract:
         for twin in (copy.copy(edited), copy.deepcopy(edited), pickle.loads(pickle.dumps(edited))):
             assert twin == edited
             assert_vector_contract(twin)
+
+
+@pytest.mark.parametrize(
+    "twin_of",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    "value, arrays",
+    [
+        (InsertionBatch((1, 3), (1, 0)), ("position_array", "one_mask", "landed_ones")),
+        (InsertionBatch((2, 4), (0, 0)), ("position_array", "one_mask", "landed_ones")),
+        (DeletionBatch((1, 4)), ("position_array",)),
+        (Sketch((3, EMPTY, 1)), ("row",)),
+    ],
+    ids=["insertion", "all-zero-insertion", "deletion", "sketch"],
+)
+def test_batch_and_sketch_copies_keep_read_only_arrays(value, arrays, twin_of):
+    twin = twin_of(value)
+    assert twin == value and repr(twin) == repr(value)
+    for name in arrays:
+        got, want = getattr(twin, name), getattr(value, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable

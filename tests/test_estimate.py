@@ -2,10 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynsketch.core import EMPTY, Permutation, Sketch, SparseBinaryVector, ValidationError
+from dynsketch.core import (
+    EMPTY,
+    DeletionBatch,
+    Permutation,
+    Sketch,
+    SparseBinaryVector,
+    ValidationError,
+    delete_features,
+)
 from dynsketch.estimate import (
     PairEstimate,
     jaccard_estimate,
@@ -14,6 +23,8 @@ from dynsketch.estimate import (
     rmse,
 )
 from dynsketch.permgen import PermutationSeed, random_permutation
+
+from _reference import pairwise_estimates_loops, slot_counts_loops
 
 
 class TestJaccardTrue:
@@ -80,6 +91,41 @@ class TestJaccardEstimate:
         sa, sb = Sketch(tuple(a[:size])), Sketch(tuple(b[:size]))
         assert jaccard_estimate(sa, sb).estimated_jaccard == \
             jaccard_estimate(sb, sa).estimated_jaccard
+
+
+@st.composite
+def rows_and_supports(draw):
+    """Two hash rows over 0..4 (0 for EMPTY) and two supports of one dimension."""
+    k = draw(st.integers(1, 12))
+    rows = [draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)) for _ in range(2)]
+    dim = draw(st.integers(1, 10))
+    supports = [draw(st.sets(st.integers(1, dim))) for _ in range(2)]
+    return rows, dim, supports
+
+
+class TestOnePairPathsMatchReferences:
+    @given(rows_and_supports())
+    @settings(max_examples=200)
+    def test_counts_rows_and_lazy_supports(self, case):
+        (a, b), dim, supports = case
+        sa, sb = (Sketch(tuple(EMPTY if v == 0 else v for v in r)) for r in (a, b))
+        for sk, r in ((sa, a), (sb, b)):
+            assert sk.row.dtype == np.int64 and sk.row.tolist() == r
+            assert not sk.row.flags.writeable
+        est = jaccard_estimate(sa, sb)
+        assert (est.collisions, est.comparable_slots) == slot_counts_loops(a, b)
+        assert type(est.collisions) is int and type(est.comparable_slots) is int
+        assert est.estimated_jaccard == pairwise_estimates_loops([a, b])[0]
+        # Deleting one appended slot builds each vector through the edits,
+        # which hold the support array and no tuple until one is read.
+        x, y = (
+            delete_features(SparseBinaryVector(dim + 1, tuple(sorted(s))), DeletionBatch((dim + 1,)))
+            for s in supports
+        )
+        union = len(supports[0] | supports[1])
+        expected = len(supports[0] & supports[1]) / union if union else 0.0
+        assert jaccard_true(x, y) == expected
+        assert "support" not in x.__dict__ and "support" not in y.__dict__
 
 
 class TestRmse:
