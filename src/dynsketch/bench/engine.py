@@ -4,24 +4,26 @@ The runner works on a (points x permutations) matrix of hash values with 0
 standing in for EMPTY. The base sketch and the batch update paths are the
 K-vectorized kernels of :mod:`dynsketch.sketch`, the same ones the
 sketch-level wrappers run as 1-row calls; ``min_hash`` and the per-slot rules
-there stay the scalar API and the tests' reference. This module adds the
-column-chunked threading of the base sketch and the one-feature-at-a-time
-sequential paths the experiment times against the batch rules, and re-exports
-``pack_supports`` and the all-pairs truth and estimates of :mod:`dynsketch.core`
-and :mod:`dynsketch.estimate` for the runner and the benchmark.
+there stay the scalar API and the tests' reference. The sequential paths the
+experiment times against the batch rules fold the kernels' own rule bodies
+over the batch one entry at a time. This module adds those folds and the
+column-chunked threading of the base sketch, and re-exports ``pack_supports``
+and the all-pairs truth and estimates of :mod:`dynsketch.core` and
+:mod:`dynsketch.estimate` for the runner and the benchmark.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from dynsketch.core import DeletionBatch, InsertionBatch, SupportPack, pack_supports
 from dynsketch.estimate import pairwise_estimates, pairwise_true_jaccard, rmse_condensed
-from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, min_hash_matrix
+from dynsketch.sketch import (
+    _batch_ranks, _drop, _lift, drop_hash_matrix, lift_hash_matrix, min_hash_matrix
+)
 
 
 def sketch_matrix(pack: SupportPack, perms, threads: int = 1) -> np.ndarray:
@@ -45,24 +47,14 @@ def apply_batch_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarra
 
 
 def apply_sequential_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
-    """One lift_hash application per batch entry, oldest position first.
-
-    The rank each insertion takes in the current (already widened) frame is
-    its base rank plus the number of earlier-inserted base ranks below it.
-    """
-    out = h.copy()
-    for j, perm in enumerate(perms):
-        col = out[:, j]
-        earlier: list[int] = []
-        for m, b in zip(batch.positions, batch.bits):
-            w = int(perm.rank[m - 1])
-            a = w + bisect_left(earlier, w)
-            if b == 1:
-                col[:] = np.where((col == 0) | (col >= a), a, col)
-            else:
-                col[:] = np.where((col == 0) | (col < a), col, col + 1)
-            insort(earlier, w)
-    return out
+    """:func:`dynsketch.sketch.lift_hash_matrix`'s rule folded over the batch,
+    oldest entry first: entry i takes rank ``w_i + #{w_k < w_i, k < i}``."""
+    w = _batch_ranks(h, list(perms), batch)
+    for i in range(len(batch)):
+        here = w[:, i : i + 1]
+        cur = here + (w[:, :i] < here).sum(axis=1, keepdims=True)
+        h = _lift(h, cur, batch.one_mask[i : i + 1])
+    return h
 
 
 def apply_batch_delete(
@@ -75,29 +67,16 @@ def apply_batch_delete(
 def apply_sequential_delete(
     h: np.ndarray, pack: SupportPack, perms, batch: DeletionBatch
 ) -> np.ndarray:
-    """One drop_hash application per batch entry, oldest position first."""
-    out = h.copy()
-    dpos = batch.position_array - 1
-    ends = np.cumsum(pack.lengths)
-    for j, perm in enumerate(perms):
-        col = out[:, j]
-        removed: list[int] = []  # deleted ranks in the original frame, sorted
-        for i, m in enumerate(batch.positions):
-            w = int(perm.rank[m - 1])
-            a = w - bisect_left(removed, w)
-            hit_rows = np.nonzero(col == a)[0]
-            col[:] = np.where((col == 0) | (col < a), col, col - 1)
-            insort(removed, w)
-            for row in hit_rows:
-                sup = pack.flat[ends[row] - pack.lengths[row] : ends[row]]
-                surviving = sup[~np.isin(sup, dpos[: i + 1])]
-                if surviving.size == 0:
-                    col[row] = 0
-                else:
-                    ranks = perm.rank[surviving]
-                    v = int(ranks.min())
-                    col[row] = v - bisect_left(removed, v)
-    return out
+    """:func:`dynsketch.sketch.drop_hash_matrix`'s rule folded over the batch,
+    oldest entry first: entry i takes rank ``w_i - #{w_k < w_i, k < i}``, and
+    a deleted minimum is rescanned past ``w_0..w_i``."""
+    perms = list(perms)
+    w = _batch_ranks(h, perms, batch, pack)
+    for i in range(len(batch)):
+        here = w[:, i : i + 1]
+        cur = here - (w[:, :i] < here).sum(axis=1, keepdims=True)
+        h = _drop(h, cur, np.sort(w[:, : i + 1], axis=1), perms, pack)
+    return h
 
 
 def sketch_digest(h: np.ndarray) -> str:

@@ -201,6 +201,11 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         plan = draw_insertion_plan(dim, max_n, cfg.insert_one_prob, cfg.master_seed)
     else:
         plan = draw_deletion_plan(dim, max_n, cfg.master_seed)
+        if max_n == dim and cfg.scratch_perms == "fresh" and "scratch" in cfg.paths:
+            raise ValidationError(
+                f"n={max_n} deletes every feature of dimension {dim}, which leaves none "
+                "to draw fresh scratch permutations over; use --scratch-perms lineage"
+            )
 
     checksums = {}
     runners = {}

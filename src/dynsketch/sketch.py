@@ -12,7 +12,10 @@ hash matrices go through one kernel per operation, :func:`min_hash_matrix`,
 :func:`lift_hash_matrix` and :func:`drop_hash_matrix`, on a (points x
 permutations) int64 matrix with 0 for EMPTY, over a ``SupportPack``;
 :func:`build_sketch`, :func:`update_sketch_insert` and
-:func:`update_sketch_delete` are 1-row calls on ``Sketch.row``.
+:func:`update_sketch_delete` are 1-row calls on ``Sketch.row``. An update
+kernel checks its inputs and gathers the batch ranks in one front, then runs
+a private rule body on ranks in the matrix's frame; the sequential paths of
+:mod:`dynsketch.bench.engine` fold the same bodies one entry at a time.
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ from dynsketch.core import (
 )
 
 
+def _dim_mismatch(dim: int, perm_dim: int) -> ValidationError:
+    """The error for a permutation whose dimension is not the vectors' ``dim``."""
+    return ValidationError(f"vector dimension {dim} != permutation dimension {perm_dim}")
+
+
 def min_hash(vector: SparseBinaryVector, pi: Permutation) -> HashValue:
     """The minimum rank over the vector's support; EMPTY if there is none."""
     if vector.dim != pi.dim:
-        raise ValidationError(
-            f"vector dimension {vector.dim} != permutation dimension {pi.dim}"
-        )
+        raise _dim_mismatch(vector.dim, pi.dim)
     support = vector.support_index()
     if not support.size:
         return EMPTY
@@ -57,7 +63,7 @@ def min_hash_matrix(perms, pack: SupportPack) -> np.ndarray:
     starts = (np.cumsum(lengths) - lengths)[rows]
     for j, p in enumerate(perms):
         if p.dim != dim:
-            raise ValidationError(f"vector dimension {dim} != permutation dimension {p.dim}")
+            raise _dim_mismatch(dim, p.dim)
         out[rows, j] = np.minimum.reduceat(p.rank[flat], starts)
     return out
 
@@ -144,9 +150,7 @@ def drop_hash(
     bit is found by walking ranks upward through the inverse permutation.
     """
     if vector.dim != pi.dim:
-        raise ValidationError(
-            f"vector dimension {vector.dim} != permutation dimension {pi.dim}"
-        )
+        raise _dim_mismatch(vector.dim, pi.dim)
     if not 1 <= position <= vector.dim:
         raise ValidationError(f"position {position} out of range 1..{vector.dim}")
     old_hash = _as_hash(old_hash)
@@ -179,9 +183,7 @@ def multiple_drop_hash(
     it; EMPTY when nothing survives.
     """
     if vector.dim != pi.dim:
-        raise ValidationError(
-            f"vector dimension {vector.dim} != permutation dimension {pi.dim}"
-        )
+        raise _dim_mismatch(vector.dim, pi.dim)
     batch = DeletionBatch(tuple(positions))
     batch.validate_for_dim(vector.dim)
     old_hash = _as_hash(old_hash)
@@ -209,19 +211,23 @@ _SEARCH_BLOCK_ENTRIES = 1 << 10
 _NO_SURVIVOR = np.iinfo(np.int64).max
 
 
-def _batch_ranks(perms, batch, dim: int | None = None) -> np.ndarray:
-    """The (K, n) base ranks of the batch positions, row k under ``perms[k]``.
+def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray:
+    """The kernels' front: the (K, n) base ranks of the batch positions, row k
+    under ``perms[k]``.
 
-    Checks each permutation in turn, in the per-slot rules' order: that it
-    has dimension ``dim`` when one is given, then that the batch fits it.
+    Checks first that ``h`` has one column per permutation (and one row per
+    point of ``pack``), then each permutation in turn, in the per-slot rules'
+    order: that it has the pack's dimension, then that the batch fits it.
     """
+    if h.shape[1] != len(perms):
+        raise ValidationError(f"sketch has {h.shape[1]} slots but {len(perms)} permutations given")
+    if pack is not None and h.shape[0] != pack.count:
+        raise ValidationError(f"hash matrix has {h.shape[0]} rows but {pack.count} packed points")
     idx = batch.position_array - 1
     ranks = np.empty((len(perms), len(batch)), dtype=np.int64)
     for k, p in enumerate(perms):
-        if dim is not None and p.dim != dim:
-            raise ValidationError(
-                f"vector dimension {dim} != permutation dimension {p.dim}"
-            )
+        if pack is not None and p.dim != pack.dim:
+            raise _dim_mismatch(pack.dim, p.dim)
         batch.validate_for_dim(p.dim)
         ranks[k] = p.rank[idx]
     return ranks
@@ -281,14 +287,19 @@ def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
     rank when that is smaller; an EMPTY slot takes that rank or stays EMPTY.
     """
     perms = list(perms)
-    w = _batch_ranks(perms, batch)
+    return _lift(h, _batch_ranks(h, perms, batch), batch.one_mask)
+
+
+def _lift(h, w, ones) -> np.ndarray:
+    """The insertion rule on (K, n) ranks ``w`` in h's frame, where entry i
+    inserts a 1 when ``ones[i]``."""
     top = max(int(h.max(initial=0)), int(w.max(initial=0)))
     lifted, offsets = _lifted_ranks(np.sort(w, axis=1), top)
-    out = _shift_by_counts(h, lifted, offsets, len(batch), +1)
-    if 1 in batch.bits:
+    out = _shift_by_counts(h, lifted, offsets, w.shape[1], +1)
+    if ones.any():
         # Inserted element i lands at rank w_i + #{w < w_i}, which rises with
         # w_i, so a column's best 1-bit is its smallest 1-bit base rank.
-        w1 = w[:, batch.one_mask].min(axis=1)
+        w1 = w[:, ones].min(axis=1)
         best = w1 + (w < w1[:, None]).sum(axis=1)
         np.minimum(out, best, out=out)
         np.copyto(out, best, where=h == 0)
@@ -304,16 +315,27 @@ def drop_hash_matrix(h: np.ndarray, perms, batch: DeletionBatch, pack: SupportPa
     v - #{w < v}, or by EMPTY when nothing survives.
     """
     perms = list(perms)
-    flat, lengths, dim = pack.flat, pack.lengths, pack.dim
-    n = len(batch)
-    w_sorted = np.sort(_batch_ranks(perms, batch, dim), axis=1)
+    w_sorted = np.sort(_batch_ranks(h, perms, batch, pack), axis=1)
+    return _drop(h, w_sorted, w_sorted, perms, pack)
+
+
+def _drop(h, cur, base, perms, pack: SupportPack) -> np.ndarray:
+    """The deletion rule on each column's sorted ranks ``cur`` deleted in h's
+    frame; a deleted hash is rescanned over the support ranks not among the
+    sorted base ranks ``base`` deleted so far. One batch has ``cur is base``.
+    """
+    flat, lengths = pack.flat, pack.lengths
     # The hit pass below searches support ranks, which reach up to dim.
-    lifted, offsets = _lifted_ranks(w_sorted, max(int(h.max(initial=0)), dim))
+    top = max(int(h.max(initial=0)), pack.dim)
+    lifted, offsets = _lifted_ranks(cur, top)
     hit = np.empty(h.shape, dtype=bool)
-    out = _shift_by_counts(h, lifted, offsets, n, -1, hit)
+    out = _shift_by_counts(h, lifted, offsets, cur.shape[1], -1, hit)
     cols, rows = np.nonzero(hit.T)  # grouped by column
     if rows.size == 0:
         return out
+    if base is not cur:
+        lifted = _lifted_ranks(base, top)[0]
+    n = base.shape[1]
     # Gather every hit row's support, one segment per hit.
     seg_len = lengths[rows]
     seg_start = np.cumsum(seg_len) - seg_len
@@ -351,13 +373,6 @@ def row_to_sketch(row: np.ndarray) -> Sketch:
     return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
 
 
-def _check_slot_count(sk: Sketch, perms) -> None:
-    if len(perms) != sk.num_perms:
-        raise ValidationError(
-            f"sketch has {sk.num_perms} slots but {len(perms)} permutations given"
-        )
-
-
 def update_sketch_insert(sk: Sketch, perms, batch: InsertionBatch) -> Sketch:
     """:func:`multiple_lift_hash` on every slot of a sketch, as one
     :func:`lift_hash_matrix` row.
@@ -365,8 +380,6 @@ def update_sketch_insert(sk: Sketch, perms, batch: InsertionBatch) -> Sketch:
     The caller is responsible for lifting the permutations (lazily or on
     demand) before issuing further updates against the widened frame.
     """
-    perms = list(perms)
-    _check_slot_count(sk, perms)
     return row_to_sketch(lift_hash_matrix(sk.row[None], perms, batch)[0])
 
 
@@ -375,6 +388,4 @@ def update_sketch_delete(
 ) -> Sketch:
     """:func:`multiple_drop_hash` on every slot of a sketch, as one
     :func:`drop_hash_matrix` row."""
-    perms = list(perms)
-    _check_slot_count(sk, perms)
     return row_to_sketch(drop_hash_matrix(sk.row[None], perms, batch, pack_supports([vector]))[0])

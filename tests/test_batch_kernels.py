@@ -4,9 +4,11 @@
 and a dense brute-force scan. ``lift_hash_matrix`` and ``drop_hash_matrix``
 are checked slot for slot against the per-slot ``multiple_lift_hash`` /
 ``multiple_drop_hash`` and, for a true hash matrix, against re-sketching the
-edited points under the lifted/dropped permutations. The search block size is
-patched down so that every example with more than one column crosses block
-boundaries.
+edited points under the lifted/dropped permutations. The sequential paths of
+``engine`` fold the kernels' rule bodies one entry at a time; they are checked
+against ``lift_hash`` / ``drop_hash`` folded under ``lift_perm`` / ``drop_perm``
+and against the batch paths. The search block size is patched down so that
+every example with more than one column crosses block boundaries.
 """
 
 from unittest.mock import patch
@@ -31,13 +33,17 @@ from dynsketch.core import (
 )
 from dynsketch.permgen import (
     PermutationSeed,
+    drop_perm,
+    lift_perm,
     multiple_drop_perm,
     multiple_lift_perm,
     random_permutation,
 )
 from dynsketch.sketch import (
     build_sketch,
+    drop_hash,
     drop_hash_matrix,
+    lift_hash,
     lift_hash_matrix,
     min_hash,
     min_hash_matrix,
@@ -293,6 +299,90 @@ class TestDropHashMatrix:
             assert np.array_equal(got, per_slot_delete(h, points, [ident, ident], batch))
 
 
+@st.composite
+def fold_case(draw):
+    """A matrix_case with an EMPTY point added and, as often as not, an edge
+    batch: one entry, the first or last position, every position, all 1-bits.
+    The block size is drawn below K as often, so the one-entry steps of the
+    folds cross column blocks too."""
+    points, perms, positions, bits, h, _, block = draw(matrix_case())
+    dim, k = perms[0].dim, len(perms)
+    points = points + [SparseBinaryVector(dim, ())]
+    h = np.vstack([h, np.zeros((1, k), dtype=np.int64)])
+    edges = ((1,), (dim,), tuple(sorted({1, dim})), tuple(range(1, dim + 1)))
+    positions = draw(st.one_of(st.just(positions), st.sampled_from(edges)))
+    n = len(positions)
+    bits = draw(st.one_of(
+        st.just((1,) * n), st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    ))
+    block = draw(st.one_of(st.integers(1, max(k - 1, 1)), st.just(block)))
+    return points, perms, positions, bits, h, block
+
+
+def folded_lift_hash(h, perms, batch):
+    """lift_hash on every slot, one batch entry at a time under lift_perm."""
+    out = h.copy()
+    for j, perm in enumerate(perms):
+        for step, (m, b) in enumerate(zip(batch.positions, batch.bits)):
+            slot = m + step
+            rank = perm.value_at(slot)
+            out[:, j] = [as_value(lift_hash(as_hash(v), rank, b)) for v in out[:, j]]
+            perm = lift_perm(perm, slot)
+    return out
+
+
+def folded_drop_hash(h, points, perms, batch):
+    """drop_hash on every slot, one batch entry at a time under drop_perm
+    and delete_features."""
+    out = h.copy()
+    for j, perm in enumerate(perms):
+        current = points
+        for step, m in enumerate(batch.positions):
+            slot = m - step
+            out[:, j] = [
+                as_value(drop_hash(as_hash(v), x, perm, slot)) for v, x in zip(out[:, j], current)
+            ]
+            perm = drop_perm(perm, slot)
+            current = [delete_features(x, DeletionBatch((slot,))) for x in current]
+    return out
+
+
+class TestSequentialFolds:
+    @given(fold_case())
+    @settings(max_examples=200, deadline=None)
+    def test_insert_equals_folded_lift_hash_and_batch(self, case):
+        _, perms, positions, bits, h, block = case
+        batch = InsertionBatch(positions, bits)
+        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+            got = engine.apply_sequential_insert(h, perms, batch)
+            assert np.array_equal(got, engine.apply_batch_insert(h, perms, batch))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, folded_lift_hash(h, perms, batch))
+
+    @given(fold_case())
+    @settings(max_examples=200, deadline=None)
+    def test_delete_equals_folded_drop_hash_and_batch(self, case):
+        points, perms, positions, _, h, block = case
+        batch = DeletionBatch(positions)
+        pack = engine.pack_supports(points)
+        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+            got = engine.apply_sequential_delete(h, pack, perms, batch)
+            assert np.array_equal(got, engine.apply_batch_delete(h, pack, perms, batch))
+        assert got.dtype == np.int64
+        # drop_hash walks upward from the deleted rank, so it is the rule only
+        # where every slot holds its point's minimum or EMPTY.
+        if np.all((h == 0) | (h == engine.sketch_matrix(pack, perms))):
+            assert np.array_equal(got, folded_drop_hash(h, points, perms, batch))
+
+    def test_leave_the_input_unchanged(self):
+        pack = engine.pack_supports([X7])
+        h = engine.sketch_matrix(pack, [PI7, PI7])
+        before = h.copy()
+        engine.apply_sequential_insert(h, [PI7, PI7], InsertionBatch((1, 4), (1, 0)))
+        engine.apply_sequential_delete(h, pack, [PI7, PI7], DeletionBatch((1, 4)))
+        assert np.array_equal(h, before)
+
+
 PI7 = Permutation([6, 3, 1, 7, 2, 5, 4])
 PI8 = Permutation([6, 3, 1, 7, 2, 5, 4, 8])
 X7 = SparseBinaryVector.from_dense([1, 0, 0, 1, 0, 1, 0])
@@ -384,6 +474,54 @@ class TestWrapperMessages:
         with pytest.raises(ValidationError) as err:
             update_sketch_delete(Sketch((1, 1)), [PI7, PI8], X7, DeletionBatch((9,)))
         assert str(err.value) == "position 9 out of range for dimension 7"
+
+
+class TestKernelMessages:
+    """The kernels and the sequential folds share one front of checks."""
+
+    pack = engine.pack_supports([X7, SparseBinaryVector(7, ())])
+    h = np.ones((2, 2), dtype=np.int64)
+
+    insert_paths = (lift_hash_matrix, engine.apply_sequential_insert)
+    delete_paths = (
+        drop_hash_matrix,
+        lambda h, perms, batch, pack: engine.apply_sequential_delete(h, pack, perms, batch),
+    )
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_hash_columns_must_match_the_permutations(self, width):
+        h = np.ones((2, width), dtype=np.int64)
+        message = f"^sketch has {width} slots but 2 permutations given$"
+        for apply in self.insert_paths:
+            with pytest.raises(ValidationError, match=message):
+                apply(h, [PI7, PI7], InsertionBatch((1,), (1,)))
+        for apply in self.delete_paths:
+            # The slot count is checked before each permutation's dimension.
+            with pytest.raises(ValidationError, match=message):
+                apply(h, [PI7, PI8], DeletionBatch((1,)), self.pack)
+
+    def test_hash_rows_must_match_the_pack(self):
+        for apply in self.delete_paths:
+            with pytest.raises(
+                ValidationError, match="^hash matrix has 1 rows but 2 packed points$"
+            ):
+                apply(self.h[:1], [PI7, PI8], DeletionBatch((1,)), self.pack)
+
+    def test_permutation_dimension_must_match_the_pack(self):
+        for apply in self.delete_paths:
+            with pytest.raises(
+                ValidationError, match="^vector dimension 7 != permutation dimension 8$"
+            ):
+                apply(self.h, [PI7, PI8], DeletionBatch((1,)), self.pack)
+
+    def test_positions_must_fit_every_permutation(self):
+        message = "^position 8 out of range for dimension 7$"
+        for apply in self.insert_paths:
+            with pytest.raises(ValidationError, match=message):
+                apply(self.h, [PI8, PI7], InsertionBatch((2, 8), (0, 1)))
+        for apply in self.delete_paths:
+            with pytest.raises(ValidationError, match=message):
+                apply(self.h, [PI7, PI7], DeletionBatch((2, 8)), self.pack)
 
 
 class TestPackSupports:

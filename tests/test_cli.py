@@ -82,6 +82,20 @@ class TestInsertDeleteCommands:
             assert code == 1, argv
             assert "error:" in err
 
+    def test_fresh_scratch_refuses_deleting_every_feature(self, capsys):
+        argv = ["delete", "--synthetic", "10,3,8", "--num-perms", "4", "--n", "10", "--reps", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: n=10 deletes every feature of dimension 10, which leaves none "
+            "to draw fresh scratch permutations over; use --scratch-perms lineage\n"
+        )
+        code, out, err = run_cli(argv + ["--scratch-perms", "lineage"], capsys)
+        assert code == 0, err
+        assert [r[:2] for r in csv.reader(io.StringIO(out))][1:] == [
+            ["sequential", "10"], ["batch", "10"], ["scratch", "10"]
+        ]
+
     def test_missing_data_file_exits_2(self, capsys):
         code, _, err = run_cli(["insert", "--data", "/no/such/file"], capsys)
         assert code == 2
