@@ -239,6 +239,22 @@ class Sketch:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "row", row)
 
+    @classmethod
+    def _from_row(cls, values: tuple, row: np.ndarray) -> "Sketch":
+        """Take ownership of a hash-matrix row that is valid by construction,
+        and of its values, skipping the per-value checks.
+
+        For :func:`dynsketch.sketch.row_to_sketch` only: ``row`` is a fresh
+        non-empty 1-D int64 array with no negative entry, and ``values`` its
+        entries as Python ints with EMPTY for 0. The array is made read-only
+        and becomes ``row``.
+        """
+        row.setflags(write=False)
+        sketch = object.__new__(cls)
+        object.__setattr__(sketch, "values", values)
+        object.__setattr__(sketch, "row", row)
+        return sketch
+
     def __reduce__(self):
         return type(self), (self.values,)
 

@@ -51,7 +51,9 @@ def random_permutation(d: int, seed: PermutationSeed) -> Permutation:
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed.seed, seed.index]))
-    return Permutation._from_valid(rng.permutation(d) + 1)
+    rank = rng.permutation(d)
+    rank += 1
+    return Permutation._from_valid(rank)
 
 
 def lift_perm(pi: Permutation, position: int) -> Permutation:

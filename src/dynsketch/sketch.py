@@ -52,19 +52,44 @@ def min_hash(vector: SparseBinaryVector, pi: Permutation) -> HashValue:
     return int(pi.rank[support - 1].min())
 
 
+# Rank entries that one block of permutations gathers into min_hash_matrix's
+# buffer at a time: a (b, F) int64 buffer for F packed support entries, at
+# most 2 MB unless one permutation's row alone is larger.
+_GATHER_BLOCK_ENTRIES = 1 << 18
+
+
 def min_hash_matrix(perms, pack: SupportPack) -> np.ndarray:
     """:func:`min_hash` of every packed point under every permutation, 0 for
-    EMPTY; each permutation's dimension is checked against the pack's in turn.
+    EMPTY; each permutation's dimension is checked against the pack's in turn,
+    then the packed supports against the dimension.
+
+    Blocks of permutations gather their ranks at the packed positions into
+    one reused buffer, and one ``reduceat`` per block takes every point's
+    minimum under each of them.
     """
     perms = list(perms)
     flat, lengths, dim = pack.flat, pack.lengths, pack.dim
-    out = np.zeros((lengths.size, len(perms)), dtype=np.int64)
-    rows = np.flatnonzero(lengths)
-    starts = (np.cumsum(lengths) - lengths)[rows]
-    for j, p in enumerate(perms):
+    for p in perms:
         if p.dim != dim:
             raise _dim_mismatch(dim, p.dim)
-        out[rows, j] = np.minimum.reduceat(p.rank[flat], starts)
+    out = np.zeros((lengths.size, len(perms)), dtype=np.int64)
+    if not flat.size:
+        return out
+    if int(flat.min()) < 0 or int(flat.max()) >= dim:
+        raise ValidationError(f"packed support entries must lie in 0..{dim - 1}")
+    rows = np.flatnonzero(lengths)
+    starts = (np.cumsum(lengths) - lengths)[rows]
+    step = max(1, _GATHER_BLOCK_ENTRIES // flat.size)
+    buf = np.empty((min(step, len(perms)), flat.size), dtype=np.int64)
+    for j0 in range(0, len(perms), step):
+        block = perms[j0 : j0 + step]
+        for j, p in enumerate(block):
+            # The entries were checked above, so clipping never moves one;
+            # with out= the default mode would gather through a temporary.
+            p.rank.take(flat, out=buf[j], mode="clip")
+        out[rows, j0 : j0 + len(block)] = np.minimum.reduceat(
+            buf[: len(block)], starts, axis=1
+        ).T
     return out
 
 
@@ -224,12 +249,15 @@ def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray
     if pack is not None and h.shape[0] != pack.count:
         raise ValidationError(f"hash matrix has {h.shape[0]} rows but {pack.count} packed points")
     idx = batch.position_array - 1
+    last = batch.positions[-1]
     ranks = np.empty((len(perms), len(batch)), dtype=np.int64)
     for k, p in enumerate(perms):
         if pack is not None and p.dim != pack.dim:
             raise _dim_mismatch(pack.dim, p.dim)
-        batch.validate_for_dim(p.dim)
-        ranks[k] = p.rank[idx]
+        if last > p.dim:
+            batch.validate_for_dim(p.dim)
+        # The positions fit p, so clipping never moves one.
+        p.rank.take(idx, out=ranks[k], mode="clip")
     return ranks
 
 
@@ -369,8 +397,19 @@ def _drop(h, cur, base, perms, pack: SupportPack) -> np.ndarray:
 
 
 def row_to_sketch(row: np.ndarray) -> Sketch:
-    """One hash-matrix row as a Sketch: the one place 0 becomes EMPTY."""
-    return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
+    """One hash-matrix row as a Sketch: the one place 0 becomes EMPTY.
+
+    A non-empty 1-D int64 row with no negative entry, as every kernel
+    returns, is checked by one comparison and a copy of it taken without
+    per-value checks; any other row goes through the Sketch constructor and
+    its messages.
+    """
+    values = row.tolist()
+    if row.dtype == np.int64 and row.ndim == 1 and row.size and row.min() >= 0:
+        for i in np.flatnonzero(row == 0).tolist():
+            values[i] = EMPTY
+        return Sketch._from_row(tuple(values), row.copy())
+    return Sketch(tuple(EMPTY if v == 0 else v for v in values))
 
 
 def update_sketch_insert(sk: Sketch, perms, batch: InsertionBatch) -> Sketch:

@@ -341,20 +341,27 @@ def test_criterion_8_speedup_over_from_scratch():
     )
 
 
-def test_criterion_9_scaling_shape():
+def _growth_8_to_64(path: str, repetitions: int) -> float:
     config = ExperimentConfig(
         mode="insert",
         num_perms=128,
         n_features=(8, 64),
         master_seed=909,
         synthetic=(100_000, 100, 500),
-        paths=("sequential", "batch"),
-        repetitions=7,
+        paths=(path,),
+        repetitions=repetitions,
     )
-    report = run_insertion_experiment(config)
-    seconds = {(r.path, r.n): r.seconds for r in report.results}
-    sequential_growth = seconds[("sequential", 64)] / seconds[("sequential", 8)]
-    batch_growth = seconds[("batch", 64)] / seconds[("batch", 8)]
+    seconds = {r.n: r.seconds for r in run_insertion_experiment(config).results}
+    return seconds[64] / seconds[8]
+
+
+def test_criterion_9_scaling_shape():
+    # Each path is timed in its own experiment. A batch call at n=8 takes
+    # 1-2 ms; interleaved with the 5-50 ms sequential folds, the ratio of
+    # its 7-repetition medians read up to 2.02x, where 21 repetitions of the
+    # batch path alone read 1.56-1.78x in 30 runs (2-vCPU host).
+    sequential_growth = _growth_8_to_64("sequential", 7)
+    batch_growth = _growth_8_to_64("batch", 21)
     ok = (
         sequential_growth >= SEQUENTIAL_GROWTH_FLOOR
         and batch_growth <= BATCH_GROWTH_CEILING

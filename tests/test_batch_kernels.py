@@ -8,9 +8,14 @@ edited points under the lifted/dropped permutations. The sequential paths of
 ``engine`` fold the kernels' rule bodies one entry at a time; they are checked
 against ``lift_hash`` / ``drop_hash`` folded under ``lift_perm`` / ``drop_perm``
 and against the batch paths. The search block size is patched down so that
-every example with more than one column crosses block boundaries.
+every example with more than one column crosses block boundaries, and the
+gather block size of ``min_hash_matrix`` likewise. ``row_to_sketch`` takes a
+kernel row without per-value checks; it is checked against the ``Sketch``
+constructor, and any other row keeps the constructor's messages.
 """
 
+import copy
+import pickle
 from unittest.mock import patch
 
 import numpy as np
@@ -49,6 +54,7 @@ from dynsketch.sketch import (
     min_hash_matrix,
     multiple_drop_hash,
     multiple_lift_hash,
+    row_to_sketch,
     update_sketch_delete,
     update_sketch_insert,
 )
@@ -154,20 +160,58 @@ def support_case(draw):
 
 
 class TestMinHashMatrix:
-    @given(support_case())
+    @given(support_case(), st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
-    def test_equals_min_hash_and_brute_force(self, case):
+    def test_equals_min_hash_and_brute_force(self, case, block):
+        # A gather block of `block` entries holds block // F permutations (at
+        # least one): one per block, a partial last block, or all K at once.
         dim, perms, points = case
         flat = np.array([m - 1 for x in points for m in x.support], dtype=np.int64)
         lengths = np.array([len(x.support) for x in points], dtype=np.int64)
-        got = min_hash_matrix(perms, SupportPack(len(points), dim, flat, lengths))
+        with patch.object(sketch, "_GATHER_BLOCK_ENTRIES", block):
+            got = min_hash_matrix(perms, SupportPack(len(points), dim, flat, lengths))
         assert got.dtype == np.int64 and got.shape == (len(points), len(perms))
         for row, x in zip(got.tolist(), points):
             assert row == [as_value(min_hash(x, p)) for p in perms]
             brute = [min_rank_brute(x.to_dense(), p.rank.tolist()) for p in perms]
             assert row == [0 if b is None else b for b in brute]
 
-    def test_threaded_equals_serial(self):
+    @pytest.mark.parametrize("block", [1, 28, 70, 1 << 18])
+    def test_gather_blocks_against_min_hash(self, block):
+        # The mixed pack has 14 entries, so a block holds one permutation,
+        # 2 or 5 of them (a partial last block, or one wider than K) or all.
+        dim = 30
+        rng = np.random.default_rng(8)
+        empty = SparseBinaryVector(dim, ())
+        mixed = [empty] + [
+            SparseBinaryVector(dim, tuple(sorted(rng.choice(dim, size, replace=False) + 1)))
+            for size in (1, 4, 9)
+        ] + [empty]
+        for points in (mixed, [empty, empty]):
+            pack = engine.pack_supports(points)
+            for k in (1, 2, 5, 9):
+                perms = [random_permutation(dim, PermutationSeed(6, j)) for j in range(k)]
+                with patch.object(sketch, "_GATHER_BLOCK_ENTRIES", block):
+                    got = min_hash_matrix(perms, pack)
+                assert got.dtype == np.int64
+                assert got.tolist() == [[as_value(min_hash(x, p)) for p in perms] for x in points]
+
+    @pytest.mark.parametrize("entry", [-1, -5, 5, 6])
+    def test_packed_entries_outside_the_dimension(self, entry):
+        perms = [Permutation([3, 1, 5, 2, 4])]
+        pack = SupportPack(2, 5, np.array([0, entry], dtype=np.int64), np.array([1, 1]))
+        with pytest.raises(ValidationError) as err:
+            min_hash_matrix(perms, pack)
+        assert str(err.value) == "packed support entries must lie in 0..4"
+
+    def test_permutation_dimensions_are_checked_before_the_pack(self):
+        pack = SupportPack(1, 5, np.array([-1], dtype=np.int64), np.array([1]))
+        with pytest.raises(ValidationError) as err:
+            min_hash_matrix([Permutation([3, 1, 5, 2, 4]), PI7], pack)
+        assert str(err.value) == "vector dimension 5 != permutation dimension 7"
+
+    @pytest.mark.parametrize("block", [1, 1 << 18])
+    def test_threaded_equals_serial(self, block):
         dim = 20
         rng = np.random.default_rng(3)
         points = [SparseBinaryVector(dim, ()), SparseBinaryVector(dim, tuple(range(1, dim + 1)))]
@@ -176,13 +220,14 @@ class TestMinHashMatrix:
             for size in (1, 3, 7, 12)
         ]
         pack = engine.pack_supports(points)
-        for k in range(1, 6):
-            perms = [random_permutation(dim, PermutationSeed(4, j)) for j in range(k)]
-            serial = engine.sketch_matrix(pack, perms, threads=1)
-            assert np.array_equal(serial, min_hash_matrix(perms, pack))
-            for threads in range(2, 9):
-                got = engine.sketch_matrix(pack, perms, threads=threads)
-                assert got.dtype == np.int64 and np.array_equal(got, serial)
+        with patch.object(sketch, "_GATHER_BLOCK_ENTRIES", block):
+            for k in range(1, 6):
+                perms = [random_permutation(dim, PermutationSeed(4, j)) for j in range(k)]
+                serial = engine.sketch_matrix(pack, perms, threads=1)
+                assert np.array_equal(serial, min_hash_matrix(perms, pack))
+                for threads in range(2, 9):
+                    got = engine.sketch_matrix(pack, perms, threads=threads)
+                    assert got.dtype == np.int64 and np.array_equal(got, serial)
 
 
 class TestLiftHashMatrix:
@@ -411,6 +456,71 @@ class TestSketchWrappers:
         assert update_sketch_insert(sk, [PI7, PI7], InsertionBatch((2,), (0,))).values[0] is EMPTY
         shrunk = update_sketch_delete(sk, [PI7, PI7], X7, DeletionBatch((1, 4, 6)))
         assert shrunk.values == (EMPTY, EMPTY)
+
+
+def constructor_sketch(row):
+    """The Sketch constructor on a row's values, 0 becoming EMPTY."""
+    return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
+
+
+class TestRowToSketch:
+    @given(st.lists(st.integers(0, 2**62), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_constructor(self, values):
+        row = np.array(values, dtype=np.int64)
+        sk = row_to_sketch(row)
+        expected = constructor_sketch(row)
+        assert sk == expected and sk.values == expected.values
+        assert all(v is EMPTY if x == 0 else type(v) is int for v, x in zip(sk.values, values))
+        assert sk.row.dtype == np.int64 and sk.row.tolist() == values
+        assert not sk.row.flags.writeable
+        with pytest.raises(ValueError):
+            sk.row[0] = 1
+
+    def test_kernel_rows_are_copied(self):
+        perms = [PI7, PI7, random_permutation(7, PermutationSeed(2, 0))]
+        points = [X7, SparseBinaryVector(7, ())]
+        h = min_hash_matrix(perms, engine.pack_supports(points))
+        sketches = [row_to_sketch(r) for r in h]
+        column = row_to_sketch(h[:, 0])
+        expected = [constructor_sketch(r) for r in h.copy()]
+        h[:] = 3
+        assert sketches == expected and sketches[1].values == (EMPTY,) * 3
+        assert [s.row.tolist() for s in sketches] == [[as_value(v) for v in e.values] for e in expected]
+        assert column.values == (expected[0].values[0], EMPTY)
+        assert column.row.flags.c_contiguous
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        sk = row_to_sketch(np.array([4, 0, 1, 0], dtype=np.int64))
+        for copied in (pickle.loads(pickle.dumps(sk)), copy.deepcopy(sk)):
+            assert copied == sk and copied.values == (4, EMPTY, 1, EMPTY)
+            assert copied.values[1] is EMPTY
+            assert np.array_equal(copied.row, sk.row) and not copied.row.flags.writeable
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (np.array([3, -1, 2], dtype=np.int64), "hash value -1 must be at least 1 or EMPTY"),
+            (np.array([-7], dtype=np.int64), "hash value -7 must be at least 1 or EMPTY"),
+            (np.array([1.0, 0.0]), "1.0 is not a hash value"),
+            (np.array([0.0, 2.5]), "2.5 is not a hash value"),
+            (np.array([[1, 2], [0, 3]], dtype=np.int64), "[1, 2] is not a hash value"),
+            (np.zeros(0, dtype=np.int64), "a sketch needs at least one slot"),
+            (np.array([-2, 1], dtype=np.int32), "hash value -2 must be at least 1 or EMPTY"),
+        ],
+    )
+    def test_other_rows_keep_the_constructor_messages(self, row, message):
+        with pytest.raises(ValidationError) as err:
+            row_to_sketch(row)
+        assert str(err.value) == message
+        with pytest.raises(ValidationError) as err:
+            constructor_sketch(row)
+        assert str(err.value) == message
+
+    def test_other_valid_rows_go_through_the_constructor(self):
+        for row in (np.array([2, 0, 5], dtype=np.int32), np.zeros(3), np.array([True, False])):
+            sk = row_to_sketch(row)
+            assert sk == constructor_sketch(row) and sk.row.dtype == np.int64
 
 
 class TestWrapperMessages:
