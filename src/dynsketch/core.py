@@ -146,11 +146,21 @@ class SparseBinaryVector:
         return index
 
 
+def _int64_copy(values, message: str) -> np.ndarray:
+    """A fresh int64 copy of an integer array-like; ``message`` is the error
+    for any other dtype. An empty one is accepted whatever its dtype, as
+    numpy reads ``[]`` as float64."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(message)
+    return arr.astype(np.int64)
+
+
 class Permutation:
     """A bijection on {1..dim}; ``rank[i - 1]`` is the rank given to position i."""
 
     def __init__(self, rank):
-        arr = np.array(rank, dtype=np.int64, copy=True)
+        arr = _int64_copy(rank, "ranks must be integers")
         if arr.ndim != 1:
             raise ValidationError("rank must be a flat sequence")
         dim = int(arr.size)
@@ -274,8 +284,21 @@ def _batch_array(values: tuple[int, ...], what: str) -> np.ndarray:
     return out
 
 
+class _Batch:
+    """What both batches share: their length and the check against a dimension."""
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def validate_for_dim(self, dim: int) -> None:
+        if self.positions[-1] > dim:
+            raise ValidationError(
+                f"position {self.positions[-1]} out of range for dimension {dim}"
+            )
+
+
 @dataclass(frozen=True)
-class InsertionBatch:
+class InsertionBatch(_Batch):
     """Sorted distinct positions to insert, with the bit value for each.
 
     Positions are expressed in the pre-insertion frame; processing them in
@@ -314,18 +337,9 @@ class InsertionBatch:
     def __reduce__(self):  # through the constructor, as for vectors
         return type(self), (self.positions, self.bits)
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def validate_for_dim(self, dim: int) -> None:
-        if self.positions[-1] > dim:
-            raise ValidationError(
-                f"position {self.positions[-1]} out of range for dimension {dim}"
-            )
-
 
 @dataclass(frozen=True)
-class DeletionBatch:
+class DeletionBatch(_Batch):
     """Sorted distinct positions to delete, in the pre-deletion frame.
 
     ``position_array`` is the positions as a read-only int64 array.
@@ -343,15 +357,6 @@ class DeletionBatch:
 
     def __reduce__(self):
         return type(self), (self.positions,)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def validate_for_dim(self, dim: int) -> None:
-        if self.positions[-1] > dim:
-            raise ValidationError(
-                f"position {self.positions[-1]} out of range for dimension {dim}"
-            )
 
 
 def _edit_dim(dim: int) -> int:
@@ -397,14 +402,89 @@ def delete_features(vector: SparseBinaryVector, batch: DeletionBatch) -> SparseB
     return SparseBinaryVector._from_valid(vector.dim - len(batch), (support - below)[kept])
 
 
+def _segment_starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each of consecutive segments of the given sizes starts."""
+    return sizes.cumsum() - sizes
+
+
+def _members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenated ranges [starts[g], starts[g] + sizes[g])."""
+    total = int(sizes.sum())
+    return np.repeat(starts - _segment_starts(sizes), sizes) + np.arange(total)
+
+
 @dataclass(frozen=True)
 class SupportPack:
-    """Supports of many points flattened for gather/reduceat kernels."""
+    """Supports of many points flattened for gather/reduceat kernels.
+
+    Point i's 0-based support is ``flat[starts[i] : starts[i] + lengths[i]]``.
+    Every pack holds one invariant: ``count`` is the number of lengths, the
+    lengths are non-negative and sum to ``flat.size``, every entry lies in
+    ``0..dim-1``, and the entries of each point strictly increase. It is
+    checked once, when the pack is built, and the kernels trust it.
+
+    The constructor takes read-only int64 copies of ``flat`` and ``lengths``
+    and checks the invariant. :func:`pack_supports` builds through the
+    trusted ``_from_valid``, since valid vectors give a valid pack. Either
+    way ``starts``, the row offsets, is computed once and read-only.
+    """
 
     count: int
     dim: int
     flat: np.ndarray       # all 0-based supports concatenated
     lengths: np.ndarray    # per-point support sizes
+    starts: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        count, dim = int(self.count), int(self.dim)
+        if dim < 0:
+            raise ValidationError("dimension must be non-negative")
+        flat = _int64_copy(self.flat, "packed support entries must be integers")
+        lengths = _int64_copy(self.lengths, "support lengths must be integers")
+        if flat.ndim != 1 or lengths.ndim != 1:
+            raise ValidationError("packed supports and lengths must be flat sequences")
+        if lengths.size != count:
+            raise ValidationError(f"pack of {count} points has {lengths.size} lengths")
+        if int(lengths.min(initial=0)) < 0:
+            raise ValidationError("support lengths must be non-negative")
+        # Lengths of at most flat.size each cannot wrap the int64 sum.
+        if int(lengths.max(initial=0)) > flat.size or int(lengths.sum()) != flat.size:
+            raise ValidationError(f"support lengths must sum to the {flat.size} packed entries")
+        if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= dim):
+            raise ValidationError(f"packed support entries must lie in 0..{dim - 1}")
+        self._own(count, dim, flat, lengths)
+        step = np.diff(flat)
+        # The step into a later point's first entry crosses points: let it pass.
+        cross = self.starts[(self.starts > 0) & (self.starts < flat.size)]
+        step[cross - 1] = 1
+        if int(step.min(initial=1)) < 1:
+            raise ValidationError("packed support entries must strictly increase within each point")
+
+    @classmethod
+    def _from_valid(cls, dim: int, flat: np.ndarray, lengths: np.ndarray) -> "SupportPack":
+        """Take ownership of int64 ``flat`` and ``lengths`` that hold the
+        invariant by construction, skipping the copies and the checks.
+
+        For :func:`pack_supports` only: the arrays are made read-only, as the
+        constructor's copies are.
+        """
+        pack = object.__new__(cls)
+        pack._own(int(lengths.size), dim, flat, lengths)
+        return pack
+
+    def _own(self, count: int, dim: int, flat: np.ndarray, lengths: np.ndarray) -> None:
+        """Set the fields, with ``starts`` computed from the lengths, and make
+        the arrays read-only."""
+        starts = _segment_starts(lengths)
+        for arr in (flat, lengths, starts):
+            arr.setflags(write=False)
+        for name, value in zip(
+            ("count", "dim", "flat", "lengths", "starts"), (count, dim, flat, lengths, starts)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # through the constructor, as for vectors
+        return type(self), (self.count, self.dim, self.flat, self.lengths)
 
 
 def pack_supports(vectors) -> SupportPack:
@@ -418,4 +498,4 @@ def pack_supports(vectors) -> SupportPack:
     lengths = np.fromiter((s.size for s in supports), dtype=np.int64, count=len(supports))
     flat = np.concatenate(supports)
     flat -= 1
-    return SupportPack(count=len(vectors), dim=dim, flat=flat, lengths=lengths)
+    return SupportPack._from_valid(dim, flat, lengths)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynsketch.core import (
-    Permutation, Sketch, SparseBinaryVector, SupportPack, ValidationError, pack_supports
+    Permutation, Sketch, SparseBinaryVector, SupportPack, ValidationError, _members, pack_supports
 )
 
 
@@ -121,12 +121,6 @@ def _row_blocks(p: int):
         stop = start + (hi - lo) * (2 * p - lo - hi - 1) // 2
         yield lo, slice(start, stop), upper
         lo, start = hi, stop
-
-
-def _members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Concatenated ranges [starts[g], starts[g] + sizes[g])."""
-    total = int(sizes.sum())
-    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(total)
 
 
 def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray:

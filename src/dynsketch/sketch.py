@@ -12,10 +12,13 @@ hash matrices go through one kernel per operation, :func:`min_hash_matrix`,
 :func:`lift_hash_matrix` and :func:`drop_hash_matrix`, on a (points x
 permutations) int64 matrix with 0 for EMPTY, over a ``SupportPack``;
 :func:`build_sketch`, :func:`update_sketch_insert` and
-:func:`update_sketch_delete` are 1-row calls on ``Sketch.row``. An update
-kernel checks its inputs and gathers the batch ranks in one front, then runs
-a private rule body on ranks in the matrix's frame; the sequential paths of
-:mod:`dynsketch.bench.engine` fold the same bodies one entry at a time.
+:func:`update_sketch_delete` are 1-row calls on ``Sketch.row``. A
+``SupportPack`` is checked once, when it is built, so the kernels trust its
+layout and check only its ``count`` and ``dim`` against their other
+arguments. An update kernel checks its inputs and gathers the batch ranks in
+one front, then runs a private rule body on ranks in the matrix's frame; the
+sequential paths of :mod:`dynsketch.bench.engine` fold the same bodies one
+entry at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from dynsketch.core import (
     SupportPack,
     ValidationError,
     _as_hash,
+    _members,
+    _segment_starts,
     pack_supports,
 )
 
@@ -60,32 +65,33 @@ _GATHER_BLOCK_ENTRIES = 1 << 18
 
 def min_hash_matrix(perms, pack: SupportPack) -> np.ndarray:
     """:func:`min_hash` of every packed point under every permutation, 0 for
-    EMPTY; each permutation's dimension is checked against the pack's in turn,
-    then the packed supports against the dimension.
+    EMPTY; each permutation's dimension is checked against the pack's in turn.
+    The packed supports are not checked again: a ``SupportPack`` holds
+    entries in ``0..dim-1`` from the moment it is built.
 
     Blocks of permutations gather their ranks at the packed positions into
     one reused buffer, and one ``reduceat`` per block takes every point's
     minimum under each of them.
     """
     perms = list(perms)
-    flat, lengths, dim = pack.flat, pack.lengths, pack.dim
     for p in perms:
-        if p.dim != dim:
-            raise _dim_mismatch(dim, p.dim)
-    out = np.zeros((lengths.size, len(perms)), dtype=np.int64)
-    if not flat.size:
+        if p.dim != pack.dim:
+            raise _dim_mismatch(pack.dim, p.dim)
+    out = np.zeros((pack.count, len(perms)), dtype=np.int64)
+    if not pack.flat.size:
         return out
-    if int(flat.min()) < 0 or int(flat.max()) >= dim:
-        raise ValidationError(f"packed support entries must lie in 0..{dim - 1}")
-    rows = np.flatnonzero(lengths)
-    starts = (np.cumsum(lengths) - lengths)[rows]
+    # take copies a read-only index array on every call, so copy the pack's
+    # once here rather than once per permutation.
+    flat = pack.flat.copy()
+    rows = np.flatnonzero(pack.lengths)
+    starts = pack.starts[rows]
     step = max(1, _GATHER_BLOCK_ENTRIES // flat.size)
     buf = np.empty((min(step, len(perms)), flat.size), dtype=np.int64)
     for j0 in range(0, len(perms), step):
         block = perms[j0 : j0 + step]
         for j, p in enumerate(block):
-            # The entries were checked above, so clipping never moves one;
-            # with out= the default mode would gather through a temporary.
+            # The pack's entries lie in 0..dim-1, so clipping never moves
+            # one; with out= the default mode would gather through a temporary.
             p.rank.take(flat, out=buf[j], mode="clip")
         out[rows, j0 : j0 + len(block)] = np.minimum.reduceat(
             buf[: len(block)], starts, axis=1
@@ -352,7 +358,6 @@ def _drop(h, cur, base, perms, pack: SupportPack) -> np.ndarray:
     frame; a deleted hash is rescanned over the support ranks not among the
     sorted base ranks ``base`` deleted so far. One batch has ``cur is base``.
     """
-    flat, lengths = pack.flat, pack.lengths
     # The hit pass below searches support ranks, which reach up to dim.
     top = max(int(h.max(initial=0)), pack.dim)
     lifted, offsets = _lifted_ranks(cur, top)
@@ -365,13 +370,10 @@ def _drop(h, cur, base, perms, pack: SupportPack) -> np.ndarray:
         lifted = _lifted_ranks(base, top)[0]
     n = base.shape[1]
     # Gather every hit row's support, one segment per hit.
-    seg_len = lengths[rows]
-    seg_start = np.cumsum(seg_len) - seg_len
-    row_start = np.cumsum(lengths) - lengths
-    total = int(seg_len.sum())
-    gather = np.arange(total, dtype=np.int64)
-    gather += np.repeat(row_start[rows] - seg_start, seg_len)
-    positions = flat[gather]
+    seg_len = pack.lengths[rows]
+    seg_start = _segment_starts(seg_len)
+    positions = pack.flat[_members(pack.starts[rows], seg_len)]
+    total = positions.size
     ranks = np.empty_like(positions)
     firsts = np.flatnonzero(np.diff(cols, prepend=-1))
     bounds = np.append(seg_start[firsts], total)

@@ -11,7 +11,10 @@ and against the batch paths. The search block size is patched down so that
 every example with more than one column crosses block boundaries, and the
 gather block size of ``min_hash_matrix`` likewise. ``row_to_sketch`` takes a
 kernel row without per-value checks; it is checked against the ``Sketch``
-constructor, and any other row keeps the constructor's messages.
+constructor, and any other row keeps the constructor's messages. A
+``SupportPack`` checks its invariant once, when it is built: every malformed
+pack is refused there, and a pack rebuilt through the checking constructor
+from ``pack_supports``'s arrays gives the kernels the same outputs.
 """
 
 import copy
@@ -198,14 +201,16 @@ class TestMinHashMatrix:
 
     @pytest.mark.parametrize("entry", [-1, -5, 5, 6])
     def test_packed_entries_outside_the_dimension(self, entry):
-        perms = [Permutation([3, 1, 5, 2, 4])]
-        pack = SupportPack(2, 5, np.array([0, entry], dtype=np.int64), np.array([1, 1]))
+        # The pack refuses them when it is built, so no kernel ever reads one.
         with pytest.raises(ValidationError) as err:
-            min_hash_matrix(perms, pack)
+            SupportPack(2, 5, np.array([0, entry], dtype=np.int64), np.array([1, 1]))
         assert str(err.value) == "packed support entries must lie in 0..4"
 
-    def test_permutation_dimensions_are_checked_before_the_pack(self):
-        pack = SupportPack(1, 5, np.array([-1], dtype=np.int64), np.array([1]))
+    def test_pack_is_checked_before_the_permutations(self):
+        with pytest.raises(ValidationError) as err:
+            SupportPack(1, 5, np.array([-1], dtype=np.int64), np.array([1]))
+        assert str(err.value) == "packed support entries must lie in 0..4"
+        pack = SupportPack(1, 5, np.array([4], dtype=np.int64), np.array([1]))
         with pytest.raises(ValidationError) as err:
             min_hash_matrix([Permutation([3, 1, 5, 2, 4]), PI7], pack)
         assert str(err.value) == "vector dimension 5 != permutation dimension 7"
@@ -634,6 +639,9 @@ class TestKernelMessages:
                 apply(self.h, [PI7, PI7], DeletionBatch((2, 8)), self.pack)
 
 
+INCREASE = "packed support entries must strictly increase within each point"
+
+
 class TestPackSupports:
     def test_flat_and_lengths(self):
         points = [
@@ -695,3 +703,66 @@ class TestPackSupports:
         for points in (empty[:1], empty[1:], empty):
             self.assert_packs_like_tuples(points)
             assert engine.pack_supports(points).flat.size == 0
+
+    @pytest.mark.parametrize(
+        "count, dim, flat, lengths, message",
+        [
+            # Unchecked, the delete kernel would read position 5's rank through the -1.
+            (1, 5, [0, -1], [2], "packed support entries must lie in 0..4"),
+            (2, 5, [0, -3], [1, 1], "packed support entries must lie in 0..4"),
+            (2, 5, [0, 5], [1, 1], "packed support entries must lie in 0..4"),
+            (1, 0, [0], [1], "packed support entries must lie in 0..-1"),
+            (2, 5, [1, 1, 1], [2, 1], INCREASE),
+            (1, 5, [0, 3, 3], [3], INCREASE),
+            (2, 5, [4, 0, 3, 1], [1, 3], INCREASE),
+            (1, 5, [0, 1, 2], [2], "support lengths must sum to the 3 packed entries"),
+            (2, 5, [0, 1], [2, 1], "support lengths must sum to the 2 packed entries"),
+            (0, 5, [0], [], "support lengths must sum to the 1 packed entries"),
+            (2, 5, [0, 1, 2], [4, -1], "support lengths must be non-negative"),
+            (2, 5, [0, 1], [2], "pack of 2 points has 1 lengths"),
+            (1, 5, [0], [0, 1], "pack of 1 points has 2 lengths"),
+            (1, -1, [], [0], "dimension must be non-negative"),
+            (1, 5, [0.0], [1], "packed support entries must be integers"),
+            (1, 5, [0], [1.0], "support lengths must be integers"),
+            (1, 5, [[0, 1]], [2], "packed supports and lengths must be flat sequences"),
+        ],
+    )
+    def test_malformed_packs_are_refused_when_built(self, count, dim, flat, lengths, message):
+        with pytest.raises(ValidationError) as err:
+            SupportPack(count, dim, flat, lengths)
+        assert str(err.value) == message
+
+    def test_rows_cross_without_order(self):
+        # Only entries within a point must increase; empty points may sit anywhere.
+        pack = SupportPack(5, 5, [3, 4, 0, 1, 2], [0, 2, 0, 3, 0])
+        assert pack.starts.tolist() == [0, 0, 2, 2, 5]
+        assert SupportPack(2, 0, [], [0, 0]).starts.tolist() == [0, 0]
+
+    def test_arrays_are_read_only_for_both_constructors(self):
+        flat, lengths = np.array([1, 3, 0, 2, 4]), np.array([2, 0, 3])
+        built = engine.pack_supports(SparseBinaryVector(5, s) for s in ((2, 4), (), (1, 3, 5)))
+        checked = SupportPack(3, 5, flat, lengths)
+        for pack in (built, checked, copy.deepcopy(checked), pickle.loads(pickle.dumps(built))):
+            for arr in (pack.flat, pack.lengths, pack.starts):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert pack.flat.tolist() == [1, 3, 0, 2, 4] and pack.starts.tolist() == [0, 2, 2]
+        # The constructor copies: the caller's arrays stay theirs.
+        assert flat.flags.writeable and checked.flat is not flat
+
+    @given(support_case(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_checked_pack_equals_the_trusted_pack(self, case, data):
+        dim, perms, points = case
+        trusted = engine.pack_supports(points)
+        checked = SupportPack(trusted.count, trusted.dim, trusted.flat, trusted.lengths)
+        assert np.array_equal(checked.starts, trusted.starts)
+        h = min_hash_matrix(perms, trusted)
+        assert np.array_equal(min_hash_matrix(perms, checked), h)
+        positions = data.draw(st.sets(st.integers(1, dim), min_size=1))
+        batch = DeletionBatch(tuple(sorted(positions)))
+        assert np.array_equal(
+            drop_hash_matrix(h, perms, batch, checked), drop_hash_matrix(h, perms, batch, trusted)
+        )
+        truth = zip(engine.pairwise_true_jaccard(checked), engine.pairwise_true_jaccard(trusted))
+        for got, want in truth:
+            assert np.array_equal(got, want)

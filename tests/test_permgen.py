@@ -291,6 +291,20 @@ class TestTrustedConstruction:
         with pytest.raises(ValidationError, match=message):
             Permutation(rank)
 
+    @pytest.mark.parametrize(
+        "rank", [[1.5, 2.2], [1.0, 2.0], ["1", "2"], [True], np.array([2, 1], dtype=np.float32)]
+    )
+    def test_public_constructor_refuses_non_integer_ranks(self, rank):
+        # Cast unchecked, [1.5, 2.2] would truncate silently to Permutation([1, 2]).
+        with pytest.raises(ValidationError, match="^ranks must be integers$"):
+            Permutation(rank)
+
+    def test_public_constructor_takes_any_integer_dtype(self):
+        assert Permutation([]).dim == 0
+        for dtype in (np.int8, np.uint16, np.int64):
+            perm = Permutation(np.array([2, 1], dtype=dtype))
+            assert perm.rank.dtype == np.int64 and perm == Permutation([2, 1])
+
 
 class TestSeedContract:
     """The (seed, index) pair names one permutation for good: a change to the
