@@ -38,6 +38,17 @@ HashValue = int | _EmptyHash
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# The largest permutation dimension: ranks 1..dim are stored as int32.
+_RANK_MAX = 2**31 - 1
+
+
+def _check_rank_dim(dim: int) -> None:
+    """Refuse a permutation dimension whose ranks would not fit int32."""
+    if dim > _RANK_MAX:
+        raise ValidationError(
+            f"dimension {dim} exceeds {_RANK_MAX}, the largest a permutation takes"
+        )
+
 
 def _as_positions(
     positions, what: str = "position", plural: str = "positions"
@@ -157,18 +168,24 @@ def _int64_copy(values, message: str) -> np.ndarray:
 
 
 class Permutation:
-    """A bijection on {1..dim}; ``rank[i - 1]`` is the rank given to position i."""
+    """A bijection on {1..dim}; ``rank[i - 1]`` is the rank given to position i.
+
+    ``rank`` is a read-only int32 array, whichever constructor built it, so
+    ``dim`` is at most ``2**31 - 1``.
+    """
 
     def __init__(self, rank):
         arr = _int64_copy(rank, "ranks must be integers")
         if arr.ndim != 1:
             raise ValidationError("rank must be a flat sequence")
         dim = int(arr.size)
+        _check_rank_dim(dim)
         if dim:
             if int(arr.min()) < 1 or int(arr.max()) > dim:
                 raise ValidationError(f"ranks must lie in 1..{dim}")
             if int(np.bincount(arr, minlength=dim + 1)[1:].max()) > 1:
                 raise ValidationError("ranks must not repeat")
+        arr = arr.astype(np.int32)
         arr.setflags(write=False)
         self.rank = arr
         self.dim = dim
@@ -176,7 +193,7 @@ class Permutation:
 
     @classmethod
     def _from_valid(cls, rank: np.ndarray) -> "Permutation":
-        """Take ownership of an int64 rank array that is a bijection by
+        """Take ownership of an int32 rank array that is a bijection by
         construction, skipping the copy and the checks.
 
         For generation and the batch lineage maps only: at d = 1e5 the checks
@@ -413,7 +430,7 @@ def _members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - _segment_starts(sizes), sizes) + np.arange(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportPack:
     """Supports of many points flattened for gather/reduceat kernels.
 
@@ -427,6 +444,9 @@ class SupportPack:
     and checks the invariant. :func:`pack_supports` builds through the
     trusted ``_from_valid``, since valid vectors give a valid pack. Either
     way ``starts``, the row offsets, is computed once and read-only.
+
+    Packs compare and hash by content: ``count``, ``dim``, ``flat`` and
+    ``lengths``.
     """
 
     count: int
@@ -482,6 +502,19 @@ class SupportPack:
             ("count", "dim", "flat", "lengths", "starts"), (count, dim, flat, lengths, starts)
         ):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, SupportPack):
+            return NotImplemented
+        return (
+            self.count == other.count
+            and self.dim == other.dim
+            and bool(np.array_equal(self.flat, other.flat))
+            and bool(np.array_equal(self.lengths, other.lengths))
+        )
+
+    def __hash__(self):
+        return hash((self.count, self.dim, self.flat.tobytes(), self.lengths.tobytes()))
 
     def __reduce__(self):  # through the constructor, as for vectors
         return type(self), (self.count, self.dim, self.flat, self.lengths)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynsketch.core import Permutation, ValidationError, _as_positions
+from dynsketch.core import Permutation, ValidationError, _as_positions, _check_rank_dim
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,15 @@ def random_permutation(d: int, seed: PermutationSeed) -> Permutation:
     """A uniformly random bijection on {1..d}, deterministic under the seed.
 
     Uses numpy's seeded Generator (a Fisher-Yates shuffle underneath) keyed
-    by the (seed, index) pair.
+    by the (seed, index) pair. The shuffle runs on numpy's int64 path, which
+    fixes the order for a seed; the ranks are narrowed to int32 as 1 is added.
     """
     if d < 1:
         raise ValidationError("dimension must be at least 1")
+    _check_rank_dim(d)
     rng = np.random.default_rng(np.random.SeedSequence([seed.seed, seed.index]))
-    rank = rng.permutation(d)
-    rank += 1
+    rank = np.empty(d, dtype=np.int32)
+    np.add(rng.permutation(d), 1, out=rank, casting="same_kind")
     return Permutation._from_valid(rank)
 
 
@@ -65,9 +67,10 @@ def lift_perm(pi: Permutation, position: int) -> Permutation:
     """
     if not 1 <= position <= pi.dim:
         raise ValidationError(f"position {position} out of range 1..{pi.dim}")
+    _check_rank_dim(pi.dim + 1)
     rank = pi.rank
     taken = rank[position - 1]
-    out = np.empty(pi.dim + 1, dtype=np.int64)
+    out = np.empty(pi.dim + 1, dtype=np.int32)
     out[:position] = rank[:position]
     out[position:] = rank[position - 1 :]
     bump = out >= taken
@@ -92,9 +95,8 @@ def drop_perm(pi: Permutation, position: int) -> Permutation:
     return Permutation(out)
 
 
-def _batch_ranks(pi: Permutation, positions) -> tuple[np.ndarray, np.ndarray]:
-    """Validated 0-based batch slots, and ``below[r]`` = #{w < r} for r in 0..d+1
-    over the base ranks W the batch positions hold."""
+def _batch_slots(pi: Permutation, positions) -> np.ndarray:
+    """The validated 0-based slots of a batch of positions of ``pi``."""
     positions = _as_positions(positions)
     if not positions:
         raise ValidationError("need at least one position")
@@ -102,11 +104,19 @@ def _batch_ranks(pi: Permutation, positions) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"position {positions[-1]} out of range for dimension {pi.dim}"
         )
-    slots = np.fromiter(positions, dtype=np.int64, count=len(positions)) - 1
-    # A count table beats a binary search per rank: W is tiny next to d.
-    below = np.zeros(pi.dim + 2, dtype=np.int64)
-    below[pi.rank[slots] + 1] = 1
-    return slots, np.cumsum(below, out=below)
+    return np.fromiter(positions, dtype=np.int64, count=len(positions)) - 1
+
+
+def _count_below(dim: int, base: np.ndarray) -> np.ndarray:
+    """``below[r]`` = #{w < r} for r in 0..dim+1 over the distinct base ranks W.
+
+    The table is a step function, n + 1 runs of 0..n cut at the sorted ranks:
+    one int32 ``np.repeat``, where a count table needs a d-long cumsum.
+    """
+    cuts = np.empty(base.size + 2, dtype=np.int64)
+    cuts[0], cuts[-1] = -1, dim + 1
+    cuts[1:-1] = np.sort(base)
+    return np.repeat(np.arange(base.size + 1, dtype=np.int32), np.diff(cuts))
 
 
 def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
@@ -117,9 +127,12 @@ def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
     an old rank r becomes r + #{w <= r}, and inserted element i lands at slot
     ``positions[i] + i`` with rank w_i + #{w < w_i}.
     """
-    slots, below = _batch_ranks(pi, positions)
+    slots = _batch_slots(pi, positions)
+    _check_rank_dim(pi.dim + slots.size)
     base = pi.rank[slots]
-    rank = below[1:][pi.rank]  # #{w <= r}
+    below = _count_below(pi.dim, base)
+    # take, not fancy indexing: about half the time with int32 indices.
+    rank = below[1:].take(pi.rank)  # #{w <= r}
     rank += pi.rank
     # np.insert puts value i before old slot i, i.e. at slot positions[i] + i.
     rank = np.insert(rank, slots, base + below[base])
@@ -133,7 +146,8 @@ def multiple_drop_perm(pi: Permutation, positions) -> Permutation:
     (0-based i), written as one rank map over the base ranks W of the batch:
     a surviving rank r becomes r - #{w < r}.
     """
-    slots, below = _batch_ranks(pi, positions)
+    slots = _batch_slots(pi, positions)
+    below = _count_below(pi.dim, pi.rank[slots])
     rank = np.delete(pi.rank, slots)
-    rank -= below[rank]
+    rank -= below.take(rank)
     return Permutation._from_valid(rank)

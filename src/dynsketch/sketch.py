@@ -58,8 +58,8 @@ def min_hash(vector: SparseBinaryVector, pi: Permutation) -> HashValue:
 
 
 # Rank entries that one block of permutations gathers into min_hash_matrix's
-# buffer at a time: a (b, F) int64 buffer for F packed support entries, at
-# most 2 MB unless one permutation's row alone is larger.
+# buffer at a time: a (b, F) int32 buffer for F packed support entries, at
+# most 1 MB unless one permutation's row alone is larger.
 _GATHER_BLOCK_ENTRIES = 1 << 18
 
 
@@ -69,9 +69,9 @@ def min_hash_matrix(perms, pack: SupportPack) -> np.ndarray:
     The packed supports are not checked again: a ``SupportPack`` holds
     entries in ``0..dim-1`` from the moment it is built.
 
-    Blocks of permutations gather their ranks at the packed positions into
-    one reused buffer, and one ``reduceat`` per block takes every point's
-    minimum under each of them.
+    Blocks of permutations gather their int32 ranks at the packed positions
+    into one reused int32 buffer, and one ``reduceat`` per block takes every
+    point's minimum under each of them, widened once into the int64 result.
     """
     perms = list(perms)
     for p in perms:
@@ -86,7 +86,7 @@ def min_hash_matrix(perms, pack: SupportPack) -> np.ndarray:
     rows = np.flatnonzero(pack.lengths)
     starts = pack.starts[rows]
     step = max(1, _GATHER_BLOCK_ENTRIES // flat.size)
-    buf = np.empty((min(step, len(perms)), flat.size), dtype=np.int64)
+    buf = np.empty((min(step, len(perms)), flat.size), dtype=np.int32)
     for j0 in range(0, len(perms), step):
         block = perms[j0 : j0 + step]
         for j, p in enumerate(block):
@@ -244,7 +244,7 @@ _NO_SURVIVOR = np.iinfo(np.int64).max
 
 def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray:
     """The kernels' front: the (K, n) base ranks of the batch positions, row k
-    under ``perms[k]``.
+    under ``perms[k]``, gathered as int32 and widened once to int64.
 
     Checks first that ``h`` has one column per permutation (and one row per
     point of ``pack``), then each permutation in turn, in the per-slot rules'
@@ -256,7 +256,7 @@ def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray
         raise ValidationError(f"hash matrix has {h.shape[0]} rows but {pack.count} packed points")
     idx = batch.position_array - 1
     last = batch.positions[-1]
-    ranks = np.empty((len(perms), len(batch)), dtype=np.int64)
+    ranks = np.empty((len(perms), len(batch)), dtype=np.int32)
     for k, p in enumerate(perms):
         if pack is not None and p.dim != pack.dim:
             raise _dim_mismatch(pack.dim, p.dim)
@@ -264,7 +264,7 @@ def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray
             batch.validate_for_dim(p.dim)
         # The positions fit p, so clipping never moves one.
         p.rank.take(idx, out=ranks[k], mode="clip")
-    return ranks
+    return ranks.astype(np.int64)
 
 
 def _lifted_ranks(w_sorted: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,11 +374,12 @@ def _drop(h, cur, base, perms, pack: SupportPack) -> np.ndarray:
     seg_start = _segment_starts(seg_len)
     positions = pack.flat[_members(pack.starts[rows], seg_len)]
     total = positions.size
-    ranks = np.empty_like(positions)
+    ranks = np.empty(total, dtype=np.int32)
     firsts = np.flatnonzero(np.diff(cols, prepend=-1))
     bounds = np.append(seg_start[firsts], total)
     for j, a, b in zip(cols[firsts].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        ranks[a:b] = perms[j].rank[positions[a:b]]
+        perms[j].rank.take(positions[a:b], out=ranks[a:b], mode="clip")  # entries < dim
+    ranks = ranks.astype(np.int64)
     # One search gives each rank's #{w < r} and whether it was deleted.
     elem_cols = np.repeat(cols, seg_len)
     query = ranks + offsets[elem_cols]

@@ -438,6 +438,57 @@ PI8 = Permutation([6, 3, 1, 7, 2, 5, 4, 8])
 X7 = SparseBinaryVector.from_dense([1, 0, 0, 1, 0, 1, 0])
 
 
+class TestInt32RanksInt64Outputs:
+    """Ranks are int32; every hash matrix, fold and sketch row stays int64."""
+
+    def test_every_output_is_int64(self):
+        perms = [PI7, random_permutation(7, PermutationSeed(2)), multiple_drop_perm(PI8, (8,))]
+        assert all(p.rank.dtype == np.int32 for p in perms)
+        pack = engine.pack_supports([X7, SparseBinaryVector(7, ()), SparseBinaryVector(7, (2, 7))])
+        ins, dele = InsertionBatch((1, 4), (1, 0)), DeletionBatch((1, 4))
+        h = min_hash_matrix(perms, pack)
+        outputs = [
+            h,
+            engine.sketch_matrix(pack, perms, threads=2),
+            lift_hash_matrix(h, perms, ins),
+            drop_hash_matrix(h, perms, dele, pack),
+            engine.apply_sequential_insert(h, perms, ins),
+            engine.apply_sequential_delete(h, pack, perms, dele),
+            sketch._batch_ranks(h, perms, ins),
+        ]
+        for out in outputs:
+            assert out.dtype == np.int64
+        sk = build_sketch(X7, perms)
+        rows = [
+            sk.row,
+            update_sketch_insert(sk, perms, ins).row,
+            update_sketch_delete(sk, perms, X7, dele).row,
+            Sketch((3, EMPTY)).row,
+        ]
+        for row in rows:
+            assert row.dtype == np.int64
+
+    def test_hashes_past_int32_lift_and_drop_exactly(self):
+        # The kernels lift column j by j * (top + 1), past int32 for hashes
+        # near 2**31: the int32 ranks must meet them widened. Row 1 holds
+        # PI7's deleted rank 3, so the delete kernel rescans it.
+        big = [2**31 - 2, 2**31 + 5, 3 * 2**30, 2**40]
+        perms = [PI7] * len(big)
+        h = np.array([big, [3, 3, 2**31, 0]], dtype=np.int64)
+        batch = InsertionBatch((2, 5), (1, 0))
+        got = lift_hash_matrix(h, perms, batch)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, per_slot_insert(h, perms, batch))
+        assert np.array_equal(engine.apply_sequential_insert(h, perms, batch), got)
+        points = [X7, SparseBinaryVector(7, (2, 4))]
+        pack = engine.pack_supports(points)
+        dele = DeletionBatch((2, 5))
+        got = drop_hash_matrix(h, perms, dele, pack)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, per_slot_delete(h, points, perms, dele))
+        assert np.array_equal(engine.apply_sequential_delete(h, pack, perms, dele), got)
+
+
 class TestSketchWrappers:
     @given(matrix_case(max_points=1))
     @settings(max_examples=200, deadline=None)
@@ -749,12 +800,42 @@ class TestPackSupports:
         # The constructor copies: the caller's arrays stay theirs.
         assert flat.flags.writeable and checked.flat is not flat
 
+    def test_equal_packs_compare_and_hash_equal(self):
+        x = SparseBinaryVector(5, (1, 3))
+        built = engine.pack_supports([x])
+        again = engine.pack_supports([x])
+        checked = SupportPack(1, 5, [0, 2], [2])
+        for other in (again, checked, copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+            assert built == other and not built != other
+            assert hash(built) == hash(other)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (SupportPack(1, 5, [0, 2], [2]), SupportPack(1, 6, [0, 2], [2])),  # dim
+            (SupportPack(1, 5, [0, 2], [2]), SupportPack(1, 5, [0, 3], [2])),  # flat
+            (SupportPack(1, 5, [0, 2], [2]), SupportPack(2, 5, [0, 2], [1, 1])),  # count
+            (SupportPack(2, 5, [0, 2], [1, 1]), SupportPack(2, 5, [0, 2], [2, 0])),  # lengths
+        ],
+    )
+    def test_unequal_packs_compare_unequal(self, a, b):
+        assert a != b and not a == b
+        assert a != (a.count, a.dim, a.flat, a.lengths)
+
+    def test_packs_are_set_members_by_content(self):
+        x, y = SparseBinaryVector(5, (1, 3)), SparseBinaryVector(5, (2,))
+        packs = {engine.pack_supports([x]), engine.pack_supports([x]), engine.pack_supports([x, y])}
+        assert len(packs) == 2
+        assert SupportPack(1, 5, [0, 2], [2]) in packs
+        assert SupportPack(1, 5, [1], [1]) not in packs
+
     @given(support_case(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_checked_pack_equals_the_trusted_pack(self, case, data):
         dim, perms, points = case
         trusted = engine.pack_supports(points)
         checked = SupportPack(trusted.count, trusted.dim, trusted.flat, trusted.lengths)
+        assert checked == trusted and hash(checked) == hash(trusted)
         assert np.array_equal(checked.starts, trusted.starts)
         h = min_hash_matrix(perms, trusted)
         assert np.array_equal(min_hash_matrix(perms, checked), h)

@@ -442,6 +442,45 @@ class TestExperimentRunner:
             tiny_config("insert", insert_one_prob=1.5).validated()
 
 
+# Every path of the insert and delete experiments at the ROADMAP configuration
+# (--synthetic 20000,50,300 --num-perms 32 --n 8,64 --seed 3 --reps 1
+# --scratch-perms lineage): (mode, n) -> (sketch_digest, rmse, rmse_post),
+# which all three paths share.
+PINNED_EXPERIMENTS = {
+    ("insert", 8): ("0a62093279319ce1b78ac973292eae4d", 0.006137843985548897, 0.006137843985548897),
+    ("insert", 64): ("7c75c16b9723b73114d7570c94160f86", 0.0419673715323418, 0.034727644873551435),
+    ("delete", 8): ("e9959fbc0204a6145333ec94caf2aca3", 0.006126311288954075, 0.006125485929185223),
+    ("delete", 64): ("470c7008c47bb772bc5db68050f9ca2b", 0.006121696306250173, 0.006114688144159887),
+}
+
+
+class TestPinnedExperiments:
+    """A change to storage or kernels must leave every sketch slot-identical."""
+
+    @pytest.mark.parametrize(
+        "mode, run", [("insert", run_insertion_experiment), ("delete", run_deletion_experiment)]
+    )
+    def test_digests_and_errors_are_pinned(self, mode, run):
+        config = ExperimentConfig(
+            mode=mode,
+            num_perms=32,
+            n_features=(8, 64),
+            master_seed=3,
+            repetitions=1,
+            synthetic=(20000, 50, 300),
+            scratch_perms="lineage",
+        )
+        results = run(config).results
+        assert [(r.path, r.n) for r in results] == [
+            (path, n) for n in (8, 64) for path in ("sequential", "batch", "scratch")
+        ]
+        for r in results:
+            digest, rmse_pre, rmse_post = PINNED_EXPERIMENTS[mode, r.n]
+            assert r.sketch_digest == digest
+            assert r.rmse == pytest.approx(rmse_pre, rel=1e-12, abs=0)
+            assert r.rmse_post == pytest.approx(rmse_post, rel=1e-12, abs=0)
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_insertion_experiment(tiny_config("insert", scratch_perms="fresh"))

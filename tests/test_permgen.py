@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynsketch import core
 from dynsketch.core import Permutation, ValidationError
 from dynsketch.permgen import (
     PermutationSeed,
@@ -245,6 +246,33 @@ class TestClosedFormMatchesFold:
         assert list(dropped.as_tuple()) == drop_oracle(perm, positions)
         assert dropped.dim == dim - len(positions)
 
+    @given(perm_and_any_batch(), st.sampled_from(["first", "last", "both"]))
+    @settings(max_examples=200)
+    def test_batches_holding_the_extreme_ranks(self, case, which):
+        # Base ranks 1 and d cut the first and the last run of the #{w < r} table.
+        perm, positions = case
+        extremes = {"first": [1], "last": [perm.dim], "both": [1, perm.dim]}[which]
+        positions = tuple(sorted(set(positions) | {int(perm.inverse[r - 1]) for r in extremes}))
+        assert list(multiple_lift_perm(perm, positions).as_tuple()) == lift_oracle(perm, positions)
+        assert list(multiple_drop_perm(perm, positions).as_tuple()) == drop_oracle(perm, positions)
+
+    @pytest.mark.parametrize(
+        "rank, positions",
+        [
+            ([2, 1], (2,)),
+            ([2, 1], (1,)),
+            ([3, 1, 4, 2, 5], (2,)),
+            ([3, 1, 4, 2, 5], (5,)),
+            ([3, 1, 4, 2, 5], (2, 5)),
+            ([5, 2, 4, 1, 3], (1, 4)),
+            ([5, 2, 4, 1, 3], (1, 2, 4)),
+        ],
+    )
+    def test_extreme_rank_edges(self, rank, positions):
+        perm = Permutation(rank)
+        assert list(multiple_lift_perm(perm, positions).as_tuple()) == lift_oracle(perm, positions)
+        assert list(multiple_drop_perm(perm, positions).as_tuple()) == drop_oracle(perm, positions)
+
     def test_delete_every_position_leaves_dimension_zero(self):
         out = multiple_drop_perm(Permutation([3, 1, 2]), (1, 2, 3))
         assert out.dim == 0 and out.as_tuple() == ()
@@ -262,7 +290,7 @@ class TestTrustedConstruction:
     @staticmethod
     def check_trusted(perm):
         assert perm == Permutation(perm.rank)
-        assert perm.rank.dtype == np.int64
+        assert perm.rank.dtype == np.int32
         assert not perm.rank.flags.writeable
         with pytest.raises(ValueError):
             perm.rank[0] = 1
@@ -303,7 +331,60 @@ class TestTrustedConstruction:
         assert Permutation([]).dim == 0
         for dtype in (np.int8, np.uint16, np.int64):
             perm = Permutation(np.array([2, 1], dtype=dtype))
-            assert perm.rank.dtype == np.int64 and perm == Permutation([2, 1])
+            assert perm.rank.dtype == np.int32 and perm == Permutation([2, 1])
+
+
+class TestRankStorage:
+    """Ranks are int32 everywhere, which bounds a permutation's dimension."""
+
+    LIMIT = "^dimension 11 exceeds 10, the largest a permutation takes$"
+
+    @pytest.fixture
+    def small_limit(self, monkeypatch):
+        # A small limit shows every refusal without an array near 2**31.
+        monkeypatch.setattr(core, "_RANK_MAX", 10)
+
+    def test_random_permutation_refuses_a_dimension_past_the_limit(self, small_limit):
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            random_permutation(11, PermutationSeed(1))
+        assert random_permutation(10, PermutationSeed(1)).dim == 10
+
+    def test_lift_perm_refuses_an_output_past_the_limit(self, small_limit):
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            lift_perm(Permutation(range(1, 11)), 3)
+        assert lift_perm(Permutation(range(1, 10)), 3).dim == 10
+        assert drop_perm(Permutation(range(1, 11)), 3).dim == 9
+
+    def test_multiple_lift_perm_refuses_an_output_past_the_limit(self, small_limit):
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            multiple_lift_perm(Permutation(range(1, 10)), (2, 5))
+        assert multiple_lift_perm(Permutation(range(1, 10)), (5,)).dim == 10
+        assert multiple_drop_perm(Permutation(range(1, 11)), (2, 5)).dim == 8
+
+    def test_public_constructor_refuses_a_dimension_past_the_limit(self, small_limit):
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            Permutation(range(1, 12))
+        assert Permutation(range(1, 11)).dim == 10
+
+    def test_every_constructor_holds_read_only_int32_ranks(self):
+        base = Permutation([3, 1, 4, 2, 5])
+        built = [
+            base,
+            Permutation(np.array([2, 1], dtype=np.uint64)),
+            Permutation([]),
+            random_permutation(7, PermutationSeed(4)),
+            lift_perm(base, 2),
+            drop_perm(base, 2),
+            multiple_lift_perm(base, (1, 5)),
+            multiple_drop_perm(base, (1, 5)),
+            multiple_drop_perm(base, (1, 2, 3, 4, 5)),
+        ]
+        for perm in built:
+            assert perm.rank.dtype == np.int32 and not perm.rank.flags.writeable
+
+    def test_generated_ranks_take_four_bytes_each(self):
+        perms = [random_permutation(100_000, PermutationSeed(1, j)) for j in range(128)]
+        assert sum(p.rank.nbytes for p in perms) == 128 * 100_000 * 4
 
 
 class TestSeedContract:
@@ -324,4 +405,6 @@ class TestSeedContract:
     )
     def test_rank_digest_is_pinned(self, d, seed, index, digest):
         rank = random_permutation(d, PermutationSeed(seed, index)).rank
-        assert hashlib.sha256(rank.tobytes()).hexdigest() == digest
+        assert rank.dtype == np.int32
+        # The digests were taken over int64 ranks; widening pins the same values.
+        assert hashlib.sha256(rank.astype(np.int64).tobytes()).hexdigest() == digest
