@@ -10,11 +10,10 @@ Three paths consume one shared workload:
   the original permutations are lifted/dropped instead, in which case the
   scratch sketches must equal the update-rule sketches slot for slot.
 
-Timing uses a monotonic clock, one discarded warm-up run per path and batch
-size, and the median of the remaining repetitions, which are interleaved
-across paths and batch sizes so that drift in machine speed cancels in the
-ratios between them. Corpus loading, vector editing, and RMSE
-evaluation are excluded from the timed sections.
+Each path of each batch size is timed on its own, with a monotonic clock:
+one discarded warm-up call, then the repetitions back to back, of which the
+median is reported. Corpus loading and vector editing are excluded from the
+timed sections, and RMSE evaluation runs after all of them.
 """
 
 from __future__ import annotations
@@ -149,23 +148,16 @@ def _fresh_scratch_seed(master_seed: int) -> int:
     return (master_seed ^ _SCRATCH_SEED_SALT) & _SEED_MASK
 
 
-def _timed(runners: dict, repetitions: int):
-    """Run every runner once as a discarded warm-up, then time ``repetitions``
-    rounds that each run every runner once.
-
-    Interleaving the rounds, and reversing the order on every other round,
-    spreads a drift in machine speed evenly over the runners, so it cancels
-    in the ratios between them. Returns the last result and the times of each.
-    """
-    results = {key: fn() for key, fn in runners.items()}
-    times = {key: [] for key in runners}
-    keys = list(runners)
-    for rep in range(repetitions):
-        for key in keys if rep % 2 == 0 else reversed(keys):
-            start = perf_counter()
-            results[key] = runners[key]()
-            times[key].append(perf_counter() - start)
-    return results, {key: tuple(t) for key, t in times.items()}
+def _timed(fn, repetitions: int):
+    """Call ``fn`` once as a discarded warm-up, then ``repetitions`` times
+    back to back. Returns the last result and the time of each timed call."""
+    fn()
+    times = []
+    for _ in range(repetitions):
+        start = perf_counter()
+        result = fn()
+        times.append(perf_counter() - start)
+    return result, tuple(times)
 
 
 def run_insertion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -193,8 +185,6 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         for i in range(cfg.num_perms)
     ]
     base = engine.sketch_matrix(pack, perms, cfg.threads)
-    truth, both_empty = engine.pairwise_true_jaccard(pack)
-    include = ~both_empty
 
     max_n = max(cfg.n_features)
     if cfg.mode == "insert":
@@ -208,8 +198,7 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
             )
 
     checksums = {}
-    runners = {}
-    edits = {}
+    passes = []
     for n in cfg.n_features:
         wl = plan.workload(n)
         checksums[n] = wl.checksum
@@ -221,34 +210,36 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
             edited = [delete_features(v, batch) for v in points]
             new_dim = dim - n
         epack = engine.pack_supports(edited)
-        edits[n] = (epack, new_dim)
 
-        n_runners = _path_runners(cfg, pack, epack, perms, base, batch, new_dim)
+        runners = _path_runners(cfg, pack, epack, perms, base, batch, new_dim)
+        finals, timings = {}, {}
         for path in cfg.paths:
             # every path must consume the one drawn workload
             if digest_batch(cfg.mode, batch) != wl.checksum:
                 raise AssertionError(f"workload drift on the {path} path")
-            runners[n, path] = n_runners[path]
+            finals[path], timings[path] = _timed(runners[path], cfg.repetitions)
+        _assert_slot_identities(cfg, finals)
+        passes.append((n, epack, new_dim, finals, timings))
 
-    finals, timings = _timed(runners, cfg.repetitions)
-
+    # Estimation follows all timing: numpy's BLAS products can leave worker
+    # threads spinning for about 0.1 s, and on a shared core they stall the
+    # timed calls that run meanwhile.
+    truth, both_empty = engine.pairwise_true_jaccard(pack)
+    include = ~both_empty
     results = []
-    for n in cfg.n_features:
-        _assert_slot_identities(cfg, {path: finals[n, path] for path in cfg.paths})
-        # After timing, so that one post-edit truth is held at a time.
-        epack, new_dim = edits[n]
+    for n, epack, new_dim, finals, timings in passes:
         if new_dim > 0:
             post_truth, post_empty = engine.pairwise_true_jaccard(epack)
         else:
             post_truth, post_empty = truth * 0.0, np.ones_like(both_empty)
         include_post = ~post_empty
-        scratch_times = timings.get((n, "scratch"))
+        scratch_times = timings.get("scratch")
         for path in (p for p in PATHS if p in cfg.paths):
-            h = finals[n, path]
+            h = finals[path]
             est = engine.pairwise_estimates(h)
             row_rmse = engine.rmse_condensed(est, truth, include)
             row_rmse_post = engine.rmse_condensed(est, post_truth, include_post)
-            times = timings[n, path]
+            times = timings[path]
             seconds = statistics.median(times)
             speedup = speedup_max = speedup_mean = None
             if scratch_times is not None:

@@ -246,10 +246,13 @@ def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray
     """The kernels' front: the (K, n) base ranks of the batch positions, row k
     under ``perms[k]``, gathered as int32 and widened once to int64.
 
-    Checks first that ``h`` has one column per permutation (and one row per
-    point of ``pack``), then each permutation in turn, in the per-slot rules'
-    order: that it has the pack's dimension, then that the batch fits it.
+    Checks first that ``h`` is a 2-D int64 array (its shape and dtype, not
+    its values) with one column per permutation (and one row per point of
+    ``pack``), then each permutation in turn, in the per-slot rules' order:
+    that it has the pack's dimension, then that the batch fits it.
     """
+    if not isinstance(h, np.ndarray) or h.ndim != 2 or h.dtype != np.int64:
+        raise ValidationError("hash matrix must be a 2-D int64 array")
     if h.shape[1] != len(perms):
         raise ValidationError(f"sketch has {h.shape[1]} slots but {len(perms)} permutations given")
     if pack is not None and h.shape[0] != pack.count:

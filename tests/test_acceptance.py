@@ -357,9 +357,9 @@ def _growth_8_to_64(path: str, repetitions: int) -> float:
 
 def test_criterion_9_scaling_shape():
     # Each path is timed in its own experiment. A batch call at n=8 takes
-    # 1-2 ms; interleaved with the 5-50 ms sequential folds, the ratio of
-    # its 7-repetition medians read up to 2.02x, where 21 repetitions of the
-    # batch path alone read 1.56-1.78x in 30 runs (2-vCPU host).
+    # 1-2 ms, so its 64/8 ratio needs many repetitions to settle: 21
+    # repetitions of the batch path alone read 1.51-1.72x in 22 processes
+    # (2-vCPU host).
     sequential_growth = _growth_8_to_64("sequential", 7)
     batch_growth = _growth_8_to_64("batch", 21)
     ok = (

@@ -666,6 +666,24 @@ class TestKernelMessages:
             with pytest.raises(ValidationError, match=message):
                 apply(h, [PI7, PI8], DeletionBatch((1,)), self.pack)
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.ones(2, dtype=np.int64),
+            np.ones((2, 2), dtype=np.float64),
+            np.ones((2, 2, 1), dtype=np.int64),
+        ],
+        ids=["1-D", "float", "3-D"],
+    )
+    def test_hash_matrix_must_be_2d_int64(self, h):
+        message = "^hash matrix must be a 2-D int64 array$"
+        for apply in self.insert_paths:
+            with pytest.raises(ValidationError, match=message):
+                apply(h, [PI7, PI7], InsertionBatch((1,), (1,)))
+        for apply in self.delete_paths:
+            with pytest.raises(ValidationError, match=message):
+                apply(h, [PI7, PI7], DeletionBatch((1,)), self.pack)
+
     def test_hash_rows_must_match_the_pack(self):
         for apply in self.delete_paths:
             with pytest.raises(

@@ -421,6 +421,39 @@ class TestExperimentRunner:
         scratch = [r for r in report.results if r.path == "scratch"][0]
         assert scratch.speedup == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["insert", "delete"])
+    def test_each_path_is_timed_back_to_back(self, mode, monkeypatch):
+        calls = []
+
+        def logged(name, path):
+            fn = getattr(engine, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(path)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, wrapper)
+
+        logged(f"apply_sequential_{mode}", "sequential")
+        logged(f"apply_batch_{mode}", "batch")
+        # The base sketch is the first sketch_matrix call; every later one is
+        # the scratch path.
+        logged("sketch_matrix", "scratch")
+        logged("pairwise_true_jaccard", "estimate")
+        logged("pairwise_estimates", "estimate")
+        config = tiny_config(mode, n_features=(2, 4), repetitions=3)
+        run = run_insertion_experiment if mode == "insert" else run_deletion_experiment
+        report = run(config)
+        expected = ["scratch"]
+        for _ in config.n_features:
+            for path in ("sequential", "batch", "scratch"):
+                expected += [path] * (1 + config.repetitions)
+        # Estimation runs only after every timed call.
+        assert calls[: len(expected)] == expected
+        assert set(calls[len(expected) :]) == {"estimate"}
+        assert len(report.results) == 6
+        assert all(len(row.times) == config.repetitions for row in report.results)
+
     def test_sweep_produces_per_n_rows(self):
         report = run_insertion_experiment(
             tiny_config("insert", n_features=(2, 4), paths=("batch",))
