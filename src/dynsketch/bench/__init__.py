@@ -5,8 +5,7 @@ from dynsketch.bench.experiment import (
     ExperimentReport,
     PathResult,
     emit_report,
-    run_deletion_experiment,
-    run_insertion_experiment,
+    run_experiment,
 )
 from dynsketch.bench.synthetic import synthetic_corpus
 
@@ -15,7 +14,6 @@ __all__ = [
     "ExperimentReport",
     "PathResult",
     "emit_report",
-    "run_deletion_experiment",
-    "run_insertion_experiment",
+    "run_experiment",
     "synthetic_corpus",
 ]

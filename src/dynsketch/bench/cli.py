@@ -26,8 +26,7 @@ from dynsketch.permgen import PermutationSeed, drop_perm, lift_perm, random_perm
 from dynsketch.bench.experiment import (
     ExperimentConfig,
     emit_report,
-    run_deletion_experiment,
-    run_insertion_experiment,
+    run_experiment,
 )
 
 _UNIFORMITY_SOURCES = ("random", "drop", "lift")
@@ -151,11 +150,7 @@ def _experiment_command(args) -> str:
         synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
         sample_size=args.sample,
     )
-    if args.command == "insert":
-        report = run_insertion_experiment(config)
-    else:
-        report = run_deletion_experiment(config)
-    return emit_report(report, args.format)
+    return emit_report(run_experiment(config), args.format)
 
 
 def _uniformity_defaults(source: str) -> tuple[int, int]:

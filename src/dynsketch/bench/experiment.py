@@ -10,16 +10,20 @@ Three paths consume one shared workload:
   the original permutations are lifted/dropped instead, in which case the
   scratch sketches must equal the update-rule sketches slot for slot.
 
-Each path of each batch size is timed on its own, with a monotonic clock:
-one discarded warm-up call, then the repetitions back to back, of which the
-median is reported. Corpus loading and vector editing are excluded from the
-timed sections, and RMSE evaluation runs after all of them.
+:func:`run_experiment` runs in three phases. First, for each batch size, it
+draws the workload, edits and packs the points, and builds the path closures.
+Then it times each path on its own, with a monotonic clock: one discarded
+warm-up call per batch size, then ``repetitions`` rounds that call each batch
+size once in turn; the median per size is reported. A drift in machine speed
+during a path's timing thus reaches all of its sizes alike. Last, it checks
+slot identities and evaluates RMSE. Corpus loading and vector editing are
+excluded from the timed sections.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -47,6 +51,9 @@ _SEED_MASK = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Checked when built; ``n_features`` is stored sorted and deduplicated,
+    ``paths`` deduplicated in the given order."""
+
     mode: str
     num_perms: int = 500
     n_features: tuple[int, ...] = (64,)
@@ -60,7 +67,7 @@ class ExperimentConfig:
     synthetic: tuple[int, int, int] | None = None  # dim, support size, points
     sample_size: int | None = None
 
-    def validated(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
         if self.num_perms < 1:
@@ -91,7 +98,8 @@ class ExperimentConfig:
                 )
         if self.sample_size is not None and self.sample_size < 1:
             raise ValidationError("sample_size must be at least 1")
-        return replace(self, n_features=ns, paths=paths)
+        object.__setattr__(self, "n_features", ns)
+        object.__setattr__(self, "paths", paths)
 
     def echo(self) -> dict:
         return {
@@ -148,32 +156,9 @@ def _fresh_scratch_seed(master_seed: int) -> int:
     return (master_seed ^ _SCRATCH_SEED_SALT) & _SEED_MASK
 
 
-def _timed(fn, repetitions: int):
-    """Call ``fn`` once as a discarded warm-up, then ``repetitions`` times
-    back to back. Returns the last result and the time of each timed call."""
-    fn()
-    times = []
-    for _ in range(repetitions):
-        start = perf_counter()
-        result = fn()
-        times.append(perf_counter() - start)
-    return result, tuple(times)
-
-
-def run_insertion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.mode != "insert":
-        raise ValidationError("config mode must be 'insert'")
-    return _run(cfg)
-
-
-def run_deletion_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.mode != "delete":
-        raise ValidationError("config mode must be 'delete'")
-    return _run(cfg)
-
-
-def _run(cfg: ExperimentConfig) -> ExperimentReport:
-    cfg = cfg.validated()
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run ``cfg.paths`` at every batch size of ``cfg.n_features`` for
+    ``cfg.mode`` and report each path's RMSE, time and speedup per size."""
     corpus = _load_corpus(cfg)
     dim = corpus.vocab_size
     if dim < 1:
@@ -186,60 +171,62 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     base = engine.sketch_matrix(pack, perms, cfg.threads)
 
-    max_n = max(cfg.n_features)
+    max_n = cfg.n_features[-1]
     if cfg.mode == "insert":
         plan = draw_insertion_plan(dim, max_n, cfg.insert_one_prob, cfg.master_seed)
+        edit = insert_features
     else:
         plan = draw_deletion_plan(dim, max_n, cfg.master_seed)
+        edit = delete_features
         if max_n == dim and cfg.scratch_perms == "fresh" and "scratch" in cfg.paths:
             raise ValidationError(
                 f"n={max_n} deletes every feature of dimension {dim}, which leaves none "
                 "to draw fresh scratch permutations over; use --scratch-perms lineage"
             )
 
-    checksums = {}
-    passes = []
+    # Phase 1: each batch size's workload, edited pack and path closures.
+    sizes = []
     for n in cfg.n_features:
         wl = plan.workload(n)
-        checksums[n] = wl.checksum
-        batch = wl.batch
-        if cfg.mode == "insert":
-            edited = [insert_features(v, batch) for v in points]
-            new_dim = dim + n
-        else:
-            edited = [delete_features(v, batch) for v in points]
-            new_dim = dim - n
-        epack = engine.pack_supports(edited)
+        epack = engine.pack_supports([edit(v, wl.batch) for v in points])
+        sizes.append((n, wl, epack, _runners(cfg, pack, epack, perms, base, wl.batch)))
 
-        runners = _path_runners(cfg, pack, epack, perms, base, batch, new_dim)
-        finals, timings = {}, {}
-        for path in cfg.paths:
+    # Phase 2: each path on its own, its batch sizes taken in turn.
+    finals, timings = {}, {}
+    for path in cfg.paths:
+        for n, wl, _, runners in sizes:
             # every path must consume the one drawn workload
-            if digest_batch(cfg.mode, batch) != wl.checksum:
+            if digest_batch(cfg.mode, wl.batch) != wl.checksum:
                 raise AssertionError(f"workload drift on the {path} path")
-            finals[path], timings[path] = _timed(runners[path], cfg.repetitions)
-        _assert_slot_identities(cfg, finals)
-        passes.append((n, epack, new_dim, finals, timings))
+            runners[path]()  # discarded warm-up
+            timings[path, n] = []
+        for _ in range(cfg.repetitions):
+            for n, _, _, runners in sizes:
+                start = perf_counter()
+                finals[path, n] = runners[path]()
+                timings[path, n].append(perf_counter() - start)
 
-    # Estimation follows all timing: numpy's BLAS products can leave worker
-    # threads spinning for about 0.1 s, and on a shared core they stall the
-    # timed calls that run meanwhile.
+    # Phase 3: slot identities, then RMSE. Estimation follows all timing:
+    # numpy's BLAS products can leave worker threads spinning for about 0.1 s,
+    # and on a shared core they stall the timed calls that run meanwhile.
+    for n, *_ in sizes:
+        _assert_slot_identities(cfg, {p: finals[p, n] for p in cfg.paths})
     truth, both_empty = engine.pairwise_true_jaccard(pack)
     include = ~both_empty
     results = []
-    for n, epack, new_dim, finals, timings in passes:
-        if new_dim > 0:
+    for n, _, epack, _ in sizes:
+        if epack.dim > 0:
             post_truth, post_empty = engine.pairwise_true_jaccard(epack)
         else:
             post_truth, post_empty = truth * 0.0, np.ones_like(both_empty)
         include_post = ~post_empty
-        scratch_times = timings.get("scratch")
+        scratch_times = timings.get(("scratch", n))
         for path in (p for p in PATHS if p in cfg.paths):
-            h = finals[path]
+            h = finals[path, n]
             est = engine.pairwise_estimates(h)
             row_rmse = engine.rmse_condensed(est, truth, include)
             row_rmse_post = engine.rmse_condensed(est, post_truth, include_post)
-            times = timings[path]
+            times = tuple(timings[path, n])
             seconds = statistics.median(times)
             speedup = speedup_max = speedup_mean = None
             if scratch_times is not None:
@@ -266,49 +253,35 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         mode=cfg.mode,
         config=cfg.echo(),
-        workload_checksums=checksums,
+        workload_checksums={n: wl.checksum for n, wl, *_ in sizes},
         results=tuple(results),
     )
 
 
-def _path_runners(cfg, pack, epack, perms, base, batch, new_dim):
-    runners = {}
+def _runners(cfg, pack, epack, perms, base, batch):
+    """Every path's closure for one batch size. Each looks its ``engine``
+    function up when called."""
     if cfg.mode == "insert":
-        if "sequential" in cfg.paths:
-            runners["sequential"] = lambda: engine.apply_sequential_insert(
-                base, perms, batch
-            )
-        if "batch" in cfg.paths:
-            runners["batch"] = lambda: engine.apply_batch_insert(base, perms, batch)
+        sequential = lambda: engine.apply_sequential_insert(base, perms, batch)
+        batch_rule = lambda: engine.apply_batch_insert(base, perms, batch)
+        carry = multiple_lift_perm
     else:
-        if "sequential" in cfg.paths:
-            runners["sequential"] = lambda: engine.apply_sequential_delete(
-                base, pack, perms, batch
-            )
-        if "batch" in cfg.paths:
-            runners["batch"] = lambda: engine.apply_batch_delete(
-                base, pack, perms, batch
-            )
-    if "scratch" in cfg.paths:
-        if cfg.scratch_perms == "fresh":
-            scratch_seed = _fresh_scratch_seed(cfg.master_seed)
-
-            def scratch():
-                fresh = [
-                    random_permutation(new_dim, PermutationSeed(scratch_seed, i))
-                    for i in range(cfg.num_perms)
-                ]
-                return engine.sketch_matrix(epack, fresh, cfg.threads)
-
-        else:
-            lift = multiple_lift_perm if cfg.mode == "insert" else multiple_drop_perm
-
-            def scratch():
-                carried = [lift(p, batch.positions) for p in perms]
-                return engine.sketch_matrix(epack, carried, cfg.threads)
-
-        runners["scratch"] = scratch
-    return runners
+        sequential = lambda: engine.apply_sequential_delete(base, pack, perms, batch)
+        batch_rule = lambda: engine.apply_batch_delete(base, pack, perms, batch)
+        carry = multiple_drop_perm
+    if cfg.scratch_perms == "fresh":
+        seed = _fresh_scratch_seed(cfg.master_seed)
+        scratch_perms = lambda: [
+            random_permutation(epack.dim, PermutationSeed(seed, i))
+            for i in range(cfg.num_perms)
+        ]
+    else:
+        scratch_perms = lambda: [carry(p, batch.positions) for p in perms]
+    return {
+        "sequential": sequential,
+        "batch": batch_rule,
+        "scratch": lambda: engine.sketch_matrix(epack, scratch_perms(), cfg.threads),
+    }
 
 
 def _assert_slot_identities(cfg, finals):

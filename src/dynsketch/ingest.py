@@ -14,6 +14,7 @@ Gzip-compressed files are detected by magic bytes in :func:`load_docword`.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +118,28 @@ def parse_docword(stream) -> Corpus:
 def load_docword(path) -> Corpus:
     """Parse a docword file, transparently decompressing gzip input."""
     with open(path, "rb") as raw:
-        magic = raw.read(2)
-    if magic == _GZIP_MAGIC:
-        with gzip.open(path, "rt", encoding="utf-8") as stream:
-            return parse_docword(stream)
-    with open(path, "r", encoding="utf-8") as stream:
-        return parse_docword(stream)
+        gzipped = raw.read(2) == _GZIP_MAGIC
+        raw.seek(0)
+        return parse_docword(_utf8_lines(gzip.GzipFile(fileobj=raw) if gzipped else raw))
+
+
+def _utf8_lines(binary):
+    """Decode a binary stream one line at a time, so that a byte that is not
+    UTF-8, or gzip data that is cut off, fails as a ``ParseError`` naming the
+    line it falls in."""
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(binary, start=1):
+            yield raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"line {lineno}: byte {exc.start + 1} is not UTF-8 ({exc.reason})"
+        ) from None
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        # The line being read when the data ran out or broke.
+        raise ParseError(
+            f"line {lineno + 1}: gzip data is cut off or corrupt ({exc})"
+        ) from None
 
 
 def write_docword(corpus: Corpus, stream) -> None:

@@ -39,11 +39,7 @@ from dynsketch.sketch import (
     multiple_drop_hash,
     multiple_lift_hash,
 )
-from dynsketch.bench import (
-    ExperimentConfig,
-    run_deletion_experiment,
-    run_insertion_experiment,
-)
+from dynsketch.bench import ExperimentConfig, run_experiment
 
 TRIALS = 10_000
 UNIFORMITY_TRIALS = 200_000
@@ -253,10 +249,7 @@ def test_criterion_5_minwise_uniformity():
 
 def test_criterion_6_end_to_end_sketch_identity():
     outcomes = []
-    for mode, runner in (
-        ("insert", run_insertion_experiment),
-        ("delete", run_deletion_experiment),
-    ):
+    for mode in ("insert", "delete"):
         config = ExperimentConfig(
             mode=mode,
             num_perms=128,
@@ -267,7 +260,7 @@ def test_criterion_6_end_to_end_sketch_identity():
             scratch_perms="lineage",
             repetitions=1,
         )
-        report = runner(config)
+        report = run_experiment(config)
         rows = {r.path: r for r in report.results}
         outcomes.append(
             rows["batch"].sketch_digest == rows["scratch"].sketch_digest
@@ -296,7 +289,7 @@ def test_criterion_7_rmse_parity_against_fresh_baseline():
         scratch_perms="fresh",
         repetitions=1,
     )
-    report = run_insertion_experiment(config)
+    report = run_experiment(config)
     rows = {r.path: r for r in report.results}
     updated, baseline = rows["batch"].rmse, rows["scratch"].rmse
     elapsed = perf_counter() - start
@@ -313,10 +306,7 @@ def test_criterion_7_rmse_parity_against_fresh_baseline():
 def test_criterion_8_speedup_over_from_scratch():
     start = perf_counter()
     speedups = {}
-    for mode, runner in (
-        ("insert", run_insertion_experiment),
-        ("delete", run_deletion_experiment),
-    ):
+    for mode in ("insert", "delete"):
         config = ExperimentConfig(
             mode=mode,
             num_perms=128,
@@ -327,7 +317,7 @@ def test_criterion_8_speedup_over_from_scratch():
             scratch_perms="fresh",
             repetitions=5,
         )
-        report = runner(config)
+        report = run_experiment(config)
         rows = {r.path: r for r in report.results}
         speedups[mode] = rows["batch"].speedup
     elapsed = perf_counter() - start
@@ -351,7 +341,7 @@ def _growth_8_to_64(path: str, repetitions: int) -> float:
         paths=(path,),
         repetitions=repetitions,
     )
-    seconds = {r.n: r.seconds for r in run_insertion_experiment(config).results}
+    seconds = {r.n: r.seconds for r in run_experiment(config).results}
     return seconds[64] / seconds[8]
 
 

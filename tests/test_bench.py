@@ -31,8 +31,7 @@ from dynsketch.sketch import (
 from dynsketch.bench import (
     ExperimentConfig,
     emit_report,
-    run_deletion_experiment,
-    run_insertion_experiment,
+    run_experiment,
     synthetic_corpus,
 )
 from dynsketch.bench import engine
@@ -380,19 +379,19 @@ def tiny_config(mode, **overrides):
 
 class TestExperimentRunner:
     def test_insert_lineage_paths_are_slot_identical(self):
-        report = run_insertion_experiment(tiny_config("insert"))
+        report = run_experiment(tiny_config("insert"))
         digests = {r.path: r.sketch_digest for r in report.results}
         assert digests["sequential"] == digests["batch"] == digests["scratch"]
         rmses = {r.path: r.rmse for r in report.results}
         assert rmses["batch"] == rmses["scratch"] == rmses["sequential"]
 
     def test_delete_lineage_paths_are_slot_identical(self):
-        report = run_deletion_experiment(tiny_config("delete"))
+        report = run_experiment(tiny_config("delete"))
         digests = {r.path: r.sketch_digest for r in report.results}
         assert digests["sequential"] == digests["batch"] == digests["scratch"]
 
     def test_single_feature_batch_equals_sequential(self):
-        report = run_insertion_experiment(
+        report = run_experiment(
             tiny_config("insert", n_features=(1,), paths=("sequential", "batch"))
         )
         digests = {r.path: r.sketch_digest for r in report.results}
@@ -402,16 +401,16 @@ class TestExperimentRunner:
         config = tiny_config(
             "delete", synthetic=(10, 3, 8), n_features=(9,), num_perms=6
         )
-        report = run_deletion_experiment(config)
+        report = run_experiment(config)
         digests = {r.path: r.sketch_digest for r in report.results}
         assert digests["sequential"] == digests["batch"] == digests["scratch"]
 
     def test_one_workload_checksum_per_batch_size(self):
-        report = run_insertion_experiment(tiny_config("insert", n_features=(2, 4)))
+        report = run_experiment(tiny_config("insert", n_features=(2, 4)))
         assert set(report.workload_checksums) == {2, 4}
 
     def test_fresh_scratch_populates_speedups(self):
-        report = run_insertion_experiment(
+        report = run_experiment(
             tiny_config("insert", scratch_perms="fresh")
         )
         for row in report.results:
@@ -425,54 +424,64 @@ class TestExperimentRunner:
     def test_each_path_is_timed_back_to_back(self, mode, monkeypatch):
         calls = []
 
-        def logged(name, path):
+        def logged(name, path, size):
             fn = getattr(engine, name)
 
             def wrapper(*args, **kwargs):
-                calls.append(path)
+                calls.append((path, size(*args)))
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(engine, name, wrapper)
 
-        logged(f"apply_sequential_{mode}", "sequential")
-        logged(f"apply_batch_{mode}", "batch")
-        # The base sketch is the first sketch_matrix call; every later one is
-        # the scratch path.
-        logged("sketch_matrix", "scratch")
-        logged("pairwise_true_jaccard", "estimate")
-        logged("pairwise_estimates", "estimate")
+        batch_size = lambda *args: len(args[-1])
+        logged(f"apply_sequential_{mode}", "sequential", batch_size)
+        logged(f"apply_batch_{mode}", "batch", batch_size)
+        # The base sketch is the first sketch_matrix call, at the corpus
+        # dimension; every later one is the scratch path, at the edited one.
+        logged("sketch_matrix", "scratch", lambda pack, *_: pack.dim)
+        logged("pairwise_true_jaccard", "estimate", lambda *_: None)
+        logged("pairwise_estimates", "estimate", lambda *_: None)
         config = tiny_config(mode, n_features=(2, 4), repetitions=3)
-        run = run_insertion_experiment if mode == "insert" else run_deletion_experiment
-        report = run(config)
-        expected = ["scratch"]
-        for _ in config.n_features:
-            for path in ("sequential", "batch", "scratch"):
-                expected += [path] * (1 + config.repetitions)
+        report = run_experiment(config)
+        dim = config.synthetic[0]
+        step = 1 if mode == "insert" else -1
+        sizes = {
+            "sequential": list(config.n_features),
+            "batch": list(config.n_features),
+            "scratch": [dim + step * n for n in config.n_features],
+        }
+        # Each path's calls are contiguous: one warm-up per batch size, then
+        # rounds that take the sizes in turn.
+        expected = [("scratch", dim)]
+        for path in ("sequential", "batch", "scratch"):
+            expected += [(path, size) for size in sizes[path]] * (1 + config.repetitions)
         # Estimation runs only after every timed call.
         assert calls[: len(expected)] == expected
-        assert set(calls[len(expected) :]) == {"estimate"}
+        assert set(calls[len(expected) :]) == {("estimate", None)}
         assert len(report.results) == 6
         assert all(len(row.times) == config.repetitions for row in report.results)
 
     def test_sweep_produces_per_n_rows(self):
-        report = run_insertion_experiment(
+        report = run_experiment(
             tiny_config("insert", n_features=(2, 4), paths=("batch",))
         )
         assert [(r.path, r.n) for r in report.results] == [("batch", 2), ("batch", 4)]
 
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            run_insertion_experiment(tiny_config("delete"))
+    def test_unknown_mode_refused_when_the_config_is_built(self):
+        with pytest.raises(ValidationError, match="mode must be one of"):
+            tiny_config("upsert")
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            tiny_config("insert", paths=("warp",)).validated()
+            tiny_config("insert", paths=("warp",))
         with pytest.raises(ValidationError):
-            tiny_config("insert", synthetic=None).validated()
+            tiny_config("insert", synthetic=None)
         with pytest.raises(ValidationError):
-            tiny_config("insert", repetitions=0).validated()
+            tiny_config("insert", repetitions=0)
         with pytest.raises(ValidationError):
-            tiny_config("insert", insert_one_prob=1.5).validated()
+            tiny_config("insert", insert_one_prob=1.5)
+        config = tiny_config("insert", n_features=(4, 2, 4), paths=("batch", "batch"))
+        assert (config.n_features, config.paths) == ((2, 4), ("batch",))
 
 
 # Every path of the insert and delete experiments at the ROADMAP configuration
@@ -490,10 +499,8 @@ PINNED_EXPERIMENTS = {
 class TestPinnedExperiments:
     """A change to storage or kernels must leave every sketch slot-identical."""
 
-    @pytest.mark.parametrize(
-        "mode, run", [("insert", run_insertion_experiment), ("delete", run_deletion_experiment)]
-    )
-    def test_digests_and_errors_are_pinned(self, mode, run):
+    @pytest.mark.parametrize("mode", ["insert", "delete"])
+    def test_digests_and_errors_are_pinned(self, mode):
         config = ExperimentConfig(
             mode=mode,
             num_perms=32,
@@ -503,7 +510,7 @@ class TestPinnedExperiments:
             synthetic=(20000, 50, 300),
             scratch_perms="lineage",
         )
-        results = run(config).results
+        results = run_experiment(config).results
         assert [(r.path, r.n) for r in results] == [
             (path, n) for n in (8, 64) for path in ("sequential", "batch", "scratch")
         ]
@@ -516,7 +523,7 @@ class TestPinnedExperiments:
 
 @pytest.fixture(scope="module")
 def report():
-    return run_insertion_experiment(tiny_config("insert", scratch_perms="fresh"))
+    return run_experiment(tiny_config("insert", scratch_perms="fresh"))
 
 
 class TestEmitReport:

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, flags, output, and exit codes."""
 
 import csv
+import gzip
 import io
 import re
+import zlib
 
 import pytest
 
@@ -137,6 +139,25 @@ class TestParseCheck:
         code, _, err = run_cli(["parse-check", "--data", str(path)], capsys)
         assert code == 2
         assert "wordID" in err
+
+
+    @pytest.mark.parametrize("command", ["parse-check", "insert", "delete"])
+    def test_non_utf8_byte_exits_2_with_its_line(self, tmp_path, capsys, command):
+        path = tmp_path / "docword.txt"
+        path.write_bytes(b"2\n3\n2\n1 1 1\n2 \xff 1\n")
+        code, out, err = run_cli([command, "--data", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 5: byte 3 is not UTF-8")
+
+    @pytest.mark.parametrize("command", ["parse-check", "insert", "delete"])
+    def test_truncated_gzip_exits_2_with_its_line(self, tmp_path, capsys, command):
+        path = tmp_path / "docword.txt.gz"
+        cut = gzip.compress(b"1\n2\n2\n1 2 3\n1 1 1\n")[:-12]
+        line = zlib.decompressobj(wbits=31).decompress(cut).count(b"\n") + 1
+        path.write_bytes(cut)
+        code, out, err = run_cli([command, "--data", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line {line}: gzip data is cut off")
 
 
 class TestUniformityCommand:

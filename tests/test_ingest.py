@@ -3,6 +3,7 @@
 import gzip
 import io
 import os
+import zlib
 
 import pytest
 
@@ -85,6 +86,38 @@ class TestLoadDocword:
             fh.write("1\n2\n1\n1 2 3\n")
         corpus = load_docword(path)
         assert corpus.vectors[0].support == (2,)
+
+    @pytest.mark.parametrize("compress", [bytes, gzip.compress], ids=["plain", "gzip"])
+    def test_bad_byte_past_the_first_chunk_reports_its_line(self, tmp_path, compress):
+        # More than 8 KB of good lines come first: a decoder that reads ahead
+        # in chunks fails before the parser reaches the bad line.
+        good = "".join(f"1 {w} 1\n" for w in range(1, 2001))
+        data = f"1\n3000\n2001\n{good}".encode("ascii") + b"1 \xff 1\n"
+        path = tmp_path / "docword"
+        path.write_bytes(compress(data))
+        with pytest.raises(ParseError, match=r"^line 2004: byte 3 is not UTF-8"):
+            load_docword(path)
+
+    def test_truncated_gzip_reports_the_line_it_cuts(self, tmp_path):
+        text = "1\n5000\n5000\n" + "".join(f"1 {w} 1\n" for w in range(1, 5001))
+        whole = gzip.compress(text.encode("ascii"))
+        cut = whole[: len(whole) // 2]
+        # One past the lines that decompress whole from the cut bytes.
+        line = zlib.decompressobj(wbits=31).decompress(cut).count(b"\n") + 1
+        assert 3 < line < 5003
+        path = tmp_path / "docword.txt.gz"
+        path.write_bytes(cut)
+        with pytest.raises(ParseError, match=rf"^line {line}: gzip data is cut off"):
+            load_docword(path)
+
+    def test_corrupt_gzip_raises_parse_error(self, tmp_path):
+        text = "1\n5000\n5000\n" + "".join(f"1 {w} 1\n" for w in range(1, 5001))
+        data = bytearray(gzip.compress(text.encode("ascii")))
+        data[30] ^= 0xFF  # inside the deflate stream, past the 10-byte header
+        path = tmp_path / "docword.txt.gz"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=r"^line \d+: gzip data is cut off or corrupt"):
+            load_docword(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

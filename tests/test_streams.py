@@ -4,11 +4,14 @@ Each step updates the hash matrix with ``lift_hash_matrix`` or
 ``drop_hash_matrix``, carries the permutations with ``multiple_lift_perm`` or
 ``multiple_drop_perm``, and edits the points with ``insert_features`` or
 ``delete_features``. After every step the matrix must equal re-sketching the
-edited points under the carried permutations, slot for slot.
+edited points under the carried permutations, slot for slot. Seeded streams
+run fixed scenarios; ``MixedStream`` lets hypothesis choose the batches.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from dynsketch.core import (
     DeletionBatch,
@@ -126,3 +129,55 @@ def test_delete_batch_that_removes_every_support_bit_of_a_row():
     stream.delete(DeletionBatch(tuple(sorted(support + (2,)))))
     assert stream.points[0].support == () and not stream.h[0].any()
     run_alternating(stream, rng, 20)
+
+
+def positions_of(data, dim, max_size):
+    chosen = data.draw(st.sets(st.integers(1, dim), min_size=1, max_size=max_size))
+    return tuple(sorted(chosen))
+
+
+class MixedStream(RuleBasedStateMachine):
+    """Hypothesis-chosen mixes of insertion and deletion batches on a few
+    points, permutations and features; the dimension never drops below 1.
+    ``Stream`` checks the matrix against re-sketching after every batch."""
+
+    @initialize(data=st.data())
+    def start(self, data):
+        dim = data.draw(st.integers(1, 8), label="dim")
+        points = [
+            SparseBinaryVector(dim, tuple(sorted(data.draw(st.sets(st.integers(1, dim))))))
+            for _ in range(data.draw(st.integers(1, 4), label="points"))
+        ]
+        num_perms = data.draw(st.integers(1, 4), label="num_perms")
+        self.stream = Stream(points, num_perms, seed=data.draw(st.integers(0, 99), label="seed"))
+
+    @rule(data=st.data())
+    def insert(self, data):
+        positions = positions_of(data, self.stream.dim, 4)
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(positions), max_size=len(positions)))
+        self.stream.insert(InsertionBatch(positions, tuple(bits)))
+
+    @rule(data=st.data())
+    def insert_all_ones(self, data):
+        positions = positions_of(data, self.stream.dim, 4)
+        self.stream.insert(InsertionBatch(positions, (1,) * len(positions)))
+
+    @precondition(lambda self: self.stream.dim > 1)
+    @rule(data=st.data())
+    def delete(self, data):
+        self.stream.delete(DeletionBatch(positions_of(data, self.stream.dim, self.stream.dim - 1)))
+
+    def used_positions(self):
+        return set().union(*(p.support for p in self.stream.points))
+
+    @precondition(lambda self: 0 < len(self.used_positions()) < self.stream.dim)
+    @rule()
+    def delete_every_used_position(self):
+        self.stream.delete(DeletionBatch(tuple(sorted(self.used_positions()))))
+        assert not self.stream.h.any()
+
+
+MixedStream.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=12, deadline=None
+)
+test_mixed_stream = MixedStream.TestCase
