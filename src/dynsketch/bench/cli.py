@@ -207,8 +207,9 @@ def _uniformity_command(args) -> str:
 
 def _parse_check_command(args) -> str:
     corpus = load_docword(args.data)
-    nnz = sum(len(v.support) for v in corpus.vectors)
-    empty = sum(1 for v in corpus.vectors if not v.support)
+    sizes = [v.support_index().size for v in corpus.vectors]
+    nnz = sum(sizes)
+    empty = sizes.count(0)
     return (
         f"docs={corpus.num_docs} vocab={corpus.vocab_size} "
         f"nnz={nnz} empty_docs={empty}\n"

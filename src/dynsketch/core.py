@@ -112,9 +112,12 @@ class SparseBinaryVector:
         """Take ownership of a support array that is valid by construction,
         skipping the checks and the tuple.
 
-        For the vector edits only: they build a fresh 1-based, strictly
-        increasing int64 support at most ``dim`` from a valid vector and
-        batch. The array is made read-only and becomes the vector's
+        For two trusted callers only. The vector edits build a fresh
+        1-based, strictly increasing int64 support at most ``dim`` from a
+        valid vector and batch. Docword ingest
+        (:func:`dynsketch.ingest.load_docword`) passes each document a slice
+        of one array of range-checked, sorted and deduplicated word ids.
+        The array is made read-only and becomes the vector's
         :meth:`support_index`.
         """
         support.setflags(write=False)
