@@ -72,10 +72,11 @@ def apply_sequential_delete(
     a deleted minimum is rescanned past ``w_0..w_i``."""
     perms = list(perms)
     w = _batch_ranks(h, perms, batch, pack)
+    gone = batch.position_array - 1
     for i in range(len(batch)):
         here = w[:, i : i + 1]
         cur = here - (w[:, :i] < here).sum(axis=1, keepdims=True)
-        h = _drop(h, cur, np.sort(w[:, : i + 1], axis=1), perms, pack)
+        h = _drop(h, cur, np.sort(w[:, : i + 1], axis=1), gone[: i + 1], perms, pack)
     return h
 
 

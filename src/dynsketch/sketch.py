@@ -19,6 +19,19 @@ arguments. An update kernel checks its inputs and gathers the batch ranks in
 one front, then runs a private rule body on ranks in the matrix's frame; the
 sequential paths of :mod:`dynsketch.bench.engine` fold the same bodies one
 entry at a time.
+
+Both rule bodies shift every slot by its column's count #{w <= r} of batch
+ranks at or below its hash r, a step function of r with n steps. The count
+front, :func:`_shift_by_counts`, has two back-ends, chosen per call by one
+size rule (:func:`_step_windows`). The step table stores each column's
+codes 2 * #{w <= r} + [r in W] over the ranks between its smallest batch
+rank and its largest hash, in the narrowest unsigned dtype, and every slot
+reads its shift and, for a deletion, its hit bit with one narrow gather.
+The blocked search looks each slot up among its column's sorted ranks. The
+table serves matrices of at least ``_TABLE_MIN_ROWS`` rows whose tables
+hold at most ``_TABLE_ENTRIES_PER_SLOT`` entries per slot; the search serves
+the rest, such as the sketch-level wrappers' 1-row calls and hashes spread
+over a large dimension.
 """
 
 from __future__ import annotations
@@ -234,10 +247,23 @@ def multiple_drop_hash(
     return new_min - int(np.searchsorted(deleted, new_min, side="left"))
 
 
-# Lifted batch ranks that one column block of the kernels searches at a time.
-# One search over all K * n ranks grows dearer with n than the rule's constant
-# cost per slot; blocks of this size keep the searched array cache-sized.
+# Lifted batch ranks that one column block of the search back-end searches at
+# a time. One search over all K * n ranks grows dearer with n than the rule's
+# constant cost per slot; blocks of this size keep the searched array
+# cache-sized.
 _SEARCH_BLOCK_ENTRIES = 1 << 10
+
+# The count front's size rule, :func:`_step_windows`, as measured at K=128 on
+# a 2-vCPU host (BENCH_16.json). The step table costs 30-60 us more per call
+# than the search and saves 10-20 ns per slot, so it pays from 32-64 rows of
+# the hash matrix ...
+_TABLE_MIN_ROWS = 64
+# ... and only while it holds at most this many entries per slot. It still
+# beats the search at 115 entries per slot and takes 2-3 times as long from
+# 260 on; 16 keeps a uint8 table within the search's own scratch of about two
+# int64 per slot, where hashes spread over a large dimension would make the
+# table grow with the dimension.
+_TABLE_ENTRIES_PER_SLOT = 16
 
 _NO_SURVIVOR = np.iinfo(np.int64).max
 
@@ -282,14 +308,91 @@ def _lifted_ranks(w_sorted: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarra
     return (w_sorted + offsets[:, None]).ravel(), offsets
 
 
-def _shift_by_counts(h, lifted, offsets, n, sign, hit=None) -> np.ndarray:
-    """``h + sign * #{w <= h}`` for every slot, with 0 (EMPTY) staying 0.
+def _shift_by_counts(h, w, sign, hits=False):
+    """``h + sign * #{w <= h}`` for every slot, with 0 (EMPTY) staying 0, over
+    each column's sorted distinct ranks ``w`` (K, n); and, when ``hits``, the
+    C-order flat indices of the slots whose hash is one of its column's ranks
+    (else None).
 
-    The counts come from one search of each column block's lifted hashes in
-    its lifted ranks. When ``hit`` is given, it is set where the hash is
-    itself one of its column's batch ranks.
+    The count front of both update rules. It reads the counts from a step
+    table when :func:`_step_windows` finds one that pays, and otherwise
+    searches for them.
     """
-    k = h.shape[1]
+    windows = _step_windows(h, w)
+    if windows is None:
+        return _search_counts(h, w, sign, hits)
+    return _table_counts(h, w, sign, hits, *windows)
+
+
+def _step_windows(h, w):
+    """The size rule: each column's step-table window ``(lo, hi)``, or None
+    when the search is cheaper.
+
+    Column j's table covers ranks ``w[j, 0] - 1 .. min(max h[:, j], w[j, -1] + 1)``
+    (at least one entry): a hash below it counts 0 and one above it n. The
+    table pays only from ``_TABLE_MIN_ROWS`` rows, and only while its entries
+    number at most ``_TABLE_ENTRIES_PER_SLOT`` per slot of ``h``.
+    """
+    if h.shape[0] < _TABLE_MIN_ROWS:
+        return None
+    lo = w[:, 0] - 1
+    hi = np.minimum(h.max(axis=0, initial=0), w[:, -1] + 1)
+    np.maximum(hi, lo, out=hi)
+    if int((hi - lo + 1).sum()) > _TABLE_ENTRIES_PER_SLOT * h.size:
+        return None
+    return lo, hi
+
+
+def _step_table(w, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Every column's codes ``2 * #{w <= r} + [r in W]`` for r in its window
+    ``lo..hi``, one window after another in one array of the narrowest
+    unsigned dtype that holds 2n + 1; and each column's base, which added to
+    a rank in its window gives the rank's entry.
+
+    The codes are a step function of r with 2n + 1 runs: 0 from w_1 - 1,
+    then 2i + 1 at w_i and 2i from w_i + 1 on, for i = 1..n. Every window
+    is cut from one ``np.repeat`` of the run values over the run lengths.
+    """
+    k, n = w.shape
+    starts = np.empty((k, 2 * n + 2), dtype=np.int64)
+    starts[:, 0] = lo
+    starts[:, 1:-1:2] = w
+    np.add(w, 1, out=starts[:, 2:-1:2])
+    end = hi + 1
+    starts[:, -1] = end
+    np.clip(starts, lo[:, None], end[:, None], out=starts)
+    codes = np.arange(2 * n + 1, dtype=np.min_scalar_type(2 * n + 1))
+    codes[1::2] += 2
+    table = np.repeat(np.tile(codes, k), np.diff(starts, axis=1).ravel())
+    sizes = hi - lo + 1
+    return table, sizes.cumsum() - sizes - lo
+
+
+def _table_counts(h, w, sign, hits, lo, hi):
+    """:func:`_shift_by_counts` from the step table: each slot's hash,
+    clipped into its column's window and moved to the column's entries,
+    reads its code with one narrow ``take``."""
+    table, base = _step_table(w, lo, hi)
+    out = np.maximum(h, lo, out=np.empty_like(h))
+    np.minimum(out, hi, out=out)
+    out += base
+    code = table.take(out)
+    hit = np.flatnonzero((code & 1).astype(bool)) if hits else None
+    code >>= 1
+    if sign > 0:
+        np.add(h, code, out=out)
+    else:
+        np.subtract(h, code, out=out)
+    return out, hit
+
+
+def _search_counts(h, w, sign, hits):
+    """:func:`_shift_by_counts` from one search of each column block's
+    lifted hashes in its lifted ranks."""
+    k, n = w.shape
+    top = max(int(h.max(initial=0)), int(w.max(initial=0)))
+    lifted, offsets = _lifted_ranks(w, top)
+    hit = np.empty(h.shape, dtype=bool) if hits else None
     step = max(1, _SEARCH_BLOCK_ENTRIES // n)
     blocks = []
     for c0 in range(0, k, step):
@@ -299,7 +402,7 @@ def _shift_by_counts(h, lifted, offsets, n, sign, hit=None) -> np.ndarray:
         idx = np.searchsorted(block, query, side="right")
         # idx minus the entries of the block's earlier columns is the count.
         base = np.arange(cols.stop - c0, dtype=np.int64) * n
-        if hit is not None:
+        if hits:
             idx -= 1
             # idx is -1 only where the query lies below the whole block, so
             # the wrapped read is above it and never equal.
@@ -312,7 +415,8 @@ def _shift_by_counts(h, lifted, offsets, n, sign, hit=None) -> np.ndarray:
             query -= idx
             query -= offsets[cols] - base
         blocks.append(query)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    return out, np.flatnonzero(hit) if hits else None
 
 
 def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
@@ -329,10 +433,12 @@ def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
 
 def _lift(h, w, ones) -> np.ndarray:
     """The insertion rule on (K, n) ranks ``w`` in h's frame, where entry i
-    inserts a 1 when ``ones[i]``."""
-    top = max(int(h.max(initial=0)), int(w.max(initial=0)))
-    lifted, offsets = _lifted_ranks(np.sort(w, axis=1), top)
-    out = _shift_by_counts(h, lifted, offsets, w.shape[1], +1)
+    inserts a 1 when ``ones[i]``.
+
+    The shifts come from :func:`_shift_by_counts`: one narrow gather per
+    slot from the step table, or the blocked search, as its size rule picks.
+    """
+    out, _ = _shift_by_counts(h, np.sort(w, axis=1), +1)
     if ones.any():
         # Inserted element i lands at rank w_i + #{w < w_i}, which rises with
         # w_i, so a column's best 1-bit is its smallest 1-bit base rank.
@@ -353,25 +459,27 @@ def drop_hash_matrix(h: np.ndarray, perms, batch: DeletionBatch, pack: SupportPa
     """
     perms = list(perms)
     w_sorted = np.sort(_batch_ranks(h, perms, batch, pack), axis=1)
-    return _drop(h, w_sorted, w_sorted, perms, pack)
+    return _drop(h, w_sorted, w_sorted, batch.position_array - 1, perms, pack)
 
 
-def _drop(h, cur, base, perms, pack: SupportPack) -> np.ndarray:
+def _drop(h, cur, base, gone, perms, pack: SupportPack) -> np.ndarray:
     """The deletion rule on each column's sorted ranks ``cur`` deleted in h's
-    frame; a deleted hash is rescanned over the support ranks not among the
-    sorted base ranks ``base`` deleted so far. One batch has ``cur is base``.
+    frame; a deleted hash is rescanned over the support ranks whose
+    positions are not among the sorted 0-based positions ``gone`` deleted so
+    far, whose sorted base ranks are ``base``. One batch has ``cur is base``.
+
+    The shifts and the deleted hashes come from :func:`_shift_by_counts`,
+    by step table or search as for :func:`_lift`: the table's odd codes, or
+    the search's equal neighbours, mark the hashes to rescan.
     """
-    # The hit pass below searches support ranks, which reach up to dim.
-    top = max(int(h.max(initial=0)), pack.dim)
-    lifted, offsets = _lifted_ranks(cur, top)
-    hit = np.empty(h.shape, dtype=bool)
-    out = _shift_by_counts(h, lifted, offsets, cur.shape[1], -1, hit)
-    cols, rows = np.nonzero(hit.T)  # grouped by column
-    if rows.size == 0:
+    out, hits = _shift_by_counts(h, cur, -1, hits=True)
+    if hits.size == 0:
         return out
-    if base is not cur:
-        lifted = _lifted_ranks(base, top)[0]
-    n = base.shape[1]
+    # C order groups the hits by row; a stable sort of the few regroups them
+    # by column, each column's rows still ascending.
+    rows, cols = np.divmod(hits, h.shape[1])
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
     # Gather every hit row's support, one segment per hit.
     seg_len = pack.lengths[rows]
     seg_start = _segment_starts(seg_len)
@@ -383,21 +491,24 @@ def _drop(h, cur, base, perms, pack: SupportPack) -> np.ndarray:
     for j, a, b in zip(cols[firsts].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         perms[j].rank.take(positions[a:b], out=ranks[a:b], mode="clip")  # entries < dim
     ranks = ranks.astype(np.int64)
-    # One search gives each rank's #{w < r} and whether it was deleted.
-    elem_cols = np.repeat(cols, seg_len)
-    query = ranks + offsets[elem_cols]
-    below = np.searchsorted(lifted, query, side="left")
-    deleted = lifted.take(below, mode="clip") == query
-    # r - #{w < r} rises with r over surviving ranks, so its minimum is the
-    # slid-down minimum surviving rank.
-    ranks -= below
-    ranks += elem_cols * n
-    ranks[deleted] = _NO_SURVIVOR
+    # A support rank was deleted exactly when its position was, in every
+    # column: one search of the positions among the few deleted ones.
+    at = np.searchsorted(gone, positions)
+    ranks[gone.take(at, mode="clip") == positions] = _NO_SURVIVOR
     best = np.full(rows.size, _NO_SURVIVOR, dtype=np.int64)
     some = seg_len > 0
     if some.any():
         best[some] = np.minimum.reduceat(ranks, seg_start[some])
-    best[best == _NO_SURVIVOR] = 0
+    # r - #{w < r} rises with r over surviving ranks, so the smallest
+    # survivor v, slid down by its column's deleted ranks below it, is the
+    # new minimum. Support and base ranks lie in 1..dim, so lifting by dim
+    # keeps the columns apart.
+    kept = best != _NO_SURVIVOR
+    v, v_cols = best[kept], cols[kept]
+    lifted, offsets = _lifted_ranks(base, pack.dim)
+    v -= np.searchsorted(lifted, v + offsets[v_cols], side="left") - v_cols * base.shape[1]
+    best[kept] = v
+    best[~kept] = 0
     out[rows, cols] = best
     return out
 

@@ -7,9 +7,16 @@ are checked slot for slot against the per-slot ``multiple_lift_hash`` /
 edited points under the lifted/dropped permutations. The sequential paths of
 ``engine`` fold the kernels' rule bodies one entry at a time; they are checked
 against ``lift_hash`` / ``drop_hash`` folded under ``lift_perm`` / ``drop_perm``
-and against the batch paths. The search block size is patched down so that
-every example with more than one column crosses block boundaries, and the
-gather block size of ``min_hash_matrix`` likewise. ``row_to_sketch`` takes a
+and against the batch paths. Every update-kernel test runs under both count
+back-ends, the step table and the blocked search, with the size rule patched
+each way; under the search, its block size is patched down so that every
+example with more than one column crosses block boundaries, and the gather
+block size of ``min_hash_matrix`` likewise. Fixed cases cover the table's
+edges (codes past uint8, a column whose hashes all lie below its batch
+ranks, a deleted rank equal to a column's largest hash, K=1, all-EMPTY
+rows), a unit test checks the table's codes against their definition, and
+the size rule keeps 1-row calls on the search and bounds the memory of
+tables over large dimensions. ``row_to_sketch`` takes a
 kernel row without per-value checks; it is checked against the ``Sketch``
 constructor, and any other row keeps the constructor's messages. A
 ``SupportPack`` checks its invariant once, when it is built: every malformed
@@ -19,6 +26,7 @@ from ``pack_supports``'s arrays gives the kernels the same outputs.
 
 import copy
 import pickle
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -62,6 +70,7 @@ from dynsketch.sketch import (
     update_sketch_insert,
 )
 
+from _back_ends import BACK_ENDS, count_back_end
 from _reference import min_rank_brute, pack_supports_tuples
 
 
@@ -134,14 +143,14 @@ def per_slot_delete(h, points, perms, batch):
     ).reshape(h.shape)
 
 
-def kernel_insert(h, perms, batch, block):
-    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+def kernel_insert(h, perms, batch, block, back_end):
+    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
         return lift_hash_matrix(h, perms, batch)
 
 
-def kernel_delete(h, points, perms, batch, block):
+def kernel_delete(h, points, perms, batch, block, back_end):
     pack = engine.pack_supports(points)
-    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
         return drop_hash_matrix(h, perms, batch, pack)
 
 
@@ -235,31 +244,32 @@ class TestMinHashMatrix:
                     assert got.dtype == np.int64 and np.array_equal(got, serial)
 
 
+@pytest.mark.parametrize("back_end", BACK_ENDS)
 class TestLiftHashMatrix:
     @given(matrix_case())
     @settings(max_examples=300, deadline=None)
-    def test_equals_per_slot_rule_and_resketch(self, case):
+    def test_equals_per_slot_rule_and_resketch(self, back_end, case):
         points, perms, positions, bits, h, true_sketch, block = case
         batch = InsertionBatch(positions, bits)
-        got = kernel_insert(h, perms, batch, block)
+        got = kernel_insert(h, perms, batch, block, back_end)
         assert got.dtype == np.int64
         assert np.array_equal(got, per_slot_insert(h, perms, batch))
         if true_sketch:
             expected = resketch(points, perms, insert_features, multiple_lift_perm, batch)
             assert np.array_equal(got, expected)
 
-    def test_hash_above_every_batch_rank_stays_in_its_column(self):
+    def test_hash_above_every_batch_rank_stays_in_its_column(self, back_end):
         # Both columns put the batch at ranks 1 and 2; a span of only
         # max(W) + 1 would let the hash 6 of column 0 count column 1's ranks.
         ident = Permutation([1, 2, 3, 4, 5, 6])
         h = np.array([[6, 6], [0, 3]], dtype=np.int64)
         batch = InsertionBatch((1, 2), (0, 0))
         for block in (1, 2, 4):
-            got = kernel_insert(h, [ident, ident], batch, block)
+            got = kernel_insert(h, [ident, ident], batch, block, back_end)
             assert got.tolist() == [[8, 8], [0, 5]]
             assert np.array_equal(got, per_slot_insert(h, [ident, ident], batch))
 
-    def test_edge_batches_against_resketch(self):
+    def test_edge_batches_against_resketch(self, back_end):
         dim = 9
         perms = [random_permutation(dim, PermutationSeed(5, j)) for j in range(3)]
         points = [
@@ -276,27 +286,28 @@ class TestLiftHashMatrix:
         ):
             for block in (1, 2, 1024):
                 for k in (1, 3):
-                    got = kernel_insert(h[:, :k], perms[:k], batch, block)
+                    got = kernel_insert(h[:, :k], perms[:k], batch, block, back_end)
                     expected = resketch(
                         points, perms[:k], insert_features, multiple_lift_perm, batch
                     )
                     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("back_end", BACK_ENDS)
 class TestDropHashMatrix:
     @given(matrix_case())
     @settings(max_examples=300, deadline=None)
-    def test_equals_per_slot_rule_and_resketch(self, case):
+    def test_equals_per_slot_rule_and_resketch(self, back_end, case):
         points, perms, positions, _, h, true_sketch, block = case
         batch = DeletionBatch(positions)
-        got = kernel_delete(h, points, perms, batch, block)
+        got = kernel_delete(h, points, perms, batch, block, back_end)
         assert got.dtype == np.int64
         assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
         if true_sketch:
             expected = resketch(points, perms, delete_features, multiple_drop_perm, batch)
             assert np.array_equal(got, expected)
 
-    def test_whole_support_deleted_empties_the_row(self):
+    def test_whole_support_deleted_empties_the_row(self, back_end):
         dim = 8
         perms = [random_permutation(dim, PermutationSeed(9, j)) for j in range(4)]
         points = [
@@ -307,25 +318,25 @@ class TestDropHashMatrix:
         h = engine.sketch_matrix(engine.pack_supports(points), perms)
         batch = DeletionBatch((2, 5))
         for block in (1, 3, 1024):
-            got = kernel_delete(h, points, perms, batch, block)
+            got = kernel_delete(h, points, perms, batch, block, back_end)
             assert not got[0].any()
             assert got[1].all()
             assert not got[2].any()
             expected = resketch(points, perms, delete_features, multiple_drop_perm, batch)
             assert np.array_equal(got, expected)
 
-    def test_deleting_every_position(self):
+    def test_deleting_every_position(self, back_end):
         dim = 6
         perms = [random_permutation(dim, PermutationSeed(2, j)) for j in range(3)]
         points = [SparseBinaryVector(dim, (1, 4)), SparseBinaryVector(dim, ())]
         h = engine.sketch_matrix(engine.pack_supports(points), perms)
         batch = DeletionBatch(tuple(range(1, dim + 1)))
         for block in (1, 1024):
-            got = kernel_delete(h, points, perms, batch, block)
+            got = kernel_delete(h, points, perms, batch, block, back_end)
             assert got.shape == h.shape and not got.any()
             assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
 
-    def test_support_rank_above_every_hash_stays_in_its_column(self):
+    def test_support_rank_above_every_hash_stays_in_its_column(self, back_end):
         # Both minima are deleted. Column 0's next support rank, 3, is above
         # every hash and batch rank; a span of max(h, W) + 1 = 2 would lift it
         # onto column 1's deleted rank and drop it as deleted.
@@ -334,17 +345,17 @@ class TestDropHashMatrix:
         h = np.array([[1, 1]], dtype=np.int64)
         batch = DeletionBatch((1,))
         for block in (1, 1024):
-            got = kernel_delete(h, [x], perms, batch, block)
+            got = kernel_delete(h, [x], perms, batch, block, back_end)
             assert got.tolist() == [[2, 1]]
             assert np.array_equal(got, per_slot_delete(h, [x], perms, batch))
 
-    def test_hash_above_every_batch_rank_stays_in_its_column(self):
+    def test_hash_above_every_batch_rank_stays_in_its_column(self, back_end):
         ident = Permutation([1, 2, 3, 4, 5, 6])
         points = [SparseBinaryVector(6, (6,)), SparseBinaryVector(6, (1, 3))]
         h = np.array([[6, 6], [1, 1]], dtype=np.int64)
         batch = DeletionBatch((1, 2))
         for block in (1, 2, 4):
-            got = kernel_delete(h, points, [ident, ident], batch, block)
+            got = kernel_delete(h, points, [ident, ident], batch, block, back_end)
             assert got.tolist() == [[4, 4], [1, 1]]
             assert np.array_equal(got, per_slot_delete(h, points, [ident, ident], batch))
 
@@ -397,13 +408,14 @@ def folded_drop_hash(h, points, perms, batch):
     return out
 
 
+@pytest.mark.parametrize("back_end", BACK_ENDS)
 class TestSequentialFolds:
     @given(fold_case())
     @settings(max_examples=200, deadline=None)
-    def test_insert_equals_folded_lift_hash_and_batch(self, case):
+    def test_insert_equals_folded_lift_hash_and_batch(self, back_end, case):
         _, perms, positions, bits, h, block = case
         batch = InsertionBatch(positions, bits)
-        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
             got = engine.apply_sequential_insert(h, perms, batch)
             assert np.array_equal(got, engine.apply_batch_insert(h, perms, batch))
         assert got.dtype == np.int64
@@ -411,11 +423,11 @@ class TestSequentialFolds:
 
     @given(fold_case())
     @settings(max_examples=200, deadline=None)
-    def test_delete_equals_folded_drop_hash_and_batch(self, case):
+    def test_delete_equals_folded_drop_hash_and_batch(self, back_end, case):
         points, perms, positions, _, h, block = case
         batch = DeletionBatch(positions)
         pack = engine.pack_supports(points)
-        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block):
+        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
             got = engine.apply_sequential_delete(h, pack, perms, batch)
             assert np.array_equal(got, engine.apply_batch_delete(h, pack, perms, batch))
         assert got.dtype == np.int64
@@ -424,12 +436,15 @@ class TestSequentialFolds:
         if np.all((h == 0) | (h == engine.sketch_matrix(pack, perms))):
             assert np.array_equal(got, folded_drop_hash(h, points, perms, batch))
 
-    def test_leave_the_input_unchanged(self):
+    def test_leave_the_input_unchanged(self, back_end):
         pack = engine.pack_supports([X7])
         h = engine.sketch_matrix(pack, [PI7, PI7])
         before = h.copy()
-        engine.apply_sequential_insert(h, [PI7, PI7], InsertionBatch((1, 4), (1, 0)))
-        engine.apply_sequential_delete(h, pack, [PI7, PI7], DeletionBatch((1, 4)))
+        with count_back_end(back_end):
+            engine.apply_sequential_insert(h, [PI7, PI7], InsertionBatch((1, 4), (1, 0)))
+            engine.apply_sequential_delete(h, pack, [PI7, PI7], DeletionBatch((1, 4)))
+            lift_hash_matrix(h, [PI7, PI7], InsertionBatch((1, 4), (1, 0)))
+            drop_hash_matrix(h, [PI7, PI7], DeletionBatch((1, 4)), pack)
         assert np.array_equal(h, before)
 
 
@@ -438,80 +453,265 @@ PI8 = Permutation([6, 3, 1, 7, 2, 5, 4, 8])
 X7 = SparseBinaryVector.from_dense([1, 0, 0, 1, 0, 1, 0])
 
 
+@pytest.mark.parametrize("back_end", BACK_ENDS)
 class TestInt32RanksInt64Outputs:
     """Ranks are int32; every hash matrix, fold and sketch row stays int64."""
 
-    def test_every_output_is_int64(self):
-        perms = [PI7, random_permutation(7, PermutationSeed(2)), multiple_drop_perm(PI8, (8,))]
-        assert all(p.rank.dtype == np.int32 for p in perms)
-        pack = engine.pack_supports([X7, SparseBinaryVector(7, ()), SparseBinaryVector(7, (2, 7))])
-        ins, dele = InsertionBatch((1, 4), (1, 0)), DeletionBatch((1, 4))
+    def test_every_output_is_int64(self, back_end):
+        with count_back_end(back_end):
+            perms = [PI7, random_permutation(7, PermutationSeed(2)), multiple_drop_perm(PI8, (8,))]
+            assert all(p.rank.dtype == np.int32 for p in perms)
+            pack = engine.pack_supports(
+                [X7, SparseBinaryVector(7, ()), SparseBinaryVector(7, (2, 7))]
+            )
+            ins, dele = InsertionBatch((1, 4), (1, 0)), DeletionBatch((1, 4))
+            h = min_hash_matrix(perms, pack)
+            outputs = [
+                h,
+                engine.sketch_matrix(pack, perms, threads=2),
+                lift_hash_matrix(h, perms, ins),
+                drop_hash_matrix(h, perms, dele, pack),
+                engine.apply_sequential_insert(h, perms, ins),
+                engine.apply_sequential_delete(h, pack, perms, dele),
+                sketch._batch_ranks(h, perms, ins),
+            ]
+            for out in outputs:
+                assert out.dtype == np.int64
+            sk = build_sketch(X7, perms)
+            rows = [
+                sk.row,
+                update_sketch_insert(sk, perms, ins).row,
+                update_sketch_delete(sk, perms, X7, dele).row,
+                Sketch((3, EMPTY)).row,
+            ]
+            for row in rows:
+                assert row.dtype == np.int64
+
+    def test_hashes_past_int32_lift_and_drop_exactly(self, back_end):
+        with count_back_end(back_end):
+            # The kernels lift column j by j * (top + 1), past int32 for hashes
+            # near 2**31: the int32 ranks must meet them widened. Row 1 holds
+            # PI7's deleted rank 3, so the delete kernel rescans it.
+            big = [2**31 - 2, 2**31 + 5, 3 * 2**30, 2**40]
+            perms = [PI7] * len(big)
+            h = np.array([big, [3, 3, 2**31, 0]], dtype=np.int64)
+            batch = InsertionBatch((2, 5), (1, 0))
+            got = lift_hash_matrix(h, perms, batch)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, per_slot_insert(h, perms, batch))
+            assert np.array_equal(engine.apply_sequential_insert(h, perms, batch), got)
+            points = [X7, SparseBinaryVector(7, (2, 4))]
+            pack = engine.pack_supports(points)
+            dele = DeletionBatch((2, 5))
+            got = drop_hash_matrix(h, perms, dele, pack)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, per_slot_delete(h, points, perms, dele))
+            assert np.array_equal(engine.apply_sequential_delete(h, pack, perms, dele), got)
+
+
+def check_both_rules(h, points, perms, ins, dele, back_end):
+    """Both kernels on ``h`` under one back-end, against the per-slot rules
+    and, when ``h`` is the points' true sketch, against re-sketching."""
+    pack = engine.pack_supports(points)
+    with count_back_end(back_end):
+        grown = lift_hash_matrix(h, perms, ins)
+        shrunk = drop_hash_matrix(h, perms, dele, pack)
+    assert grown.dtype == shrunk.dtype == np.int64
+    assert np.array_equal(grown, per_slot_insert(h, perms, ins))
+    assert np.array_equal(shrunk, per_slot_delete(h, points, perms, dele))
+    if np.array_equal(h, engine.sketch_matrix(pack, perms)):
+        lifted = resketch(points, perms, insert_features, multiple_lift_perm, ins)
+        dropped = resketch(points, perms, delete_features, multiple_drop_perm, dele)
+        assert np.array_equal(grown, lifted) and np.array_equal(shrunk, dropped)
+    return grown, shrunk
+
+
+def random_points(rng, dim, sizes):
+    return [
+        SparseBinaryVector(dim, tuple(np.sort(rng.choice(dim, s, replace=False) + 1).tolist()))
+        for s in sizes
+    ]
+
+
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+class TestCountFrontEdges:
+    """Both update kernels at the step table's edges, under both back-ends."""
+
+    def test_batches_whose_codes_need_uint16(self, back_end):
+        # n = 150 gives codes up to 301, past uint8.
+        dim = 400
+        rng = np.random.default_rng(21)
+        perms = [random_permutation(dim, PermutationSeed(21, j)) for j in range(3)]
+        points = random_points(rng, dim, (0, 1, 5, 40, 200, dim))
+        h = engine.sketch_matrix(engine.pack_supports(points), perms)
+        positions = tuple(sorted(int(p) + 1 for p in rng.choice(dim, 150, replace=False)))
+        bits = tuple(int(b) for b in rng.random(150) < 0.1)
+        ins, dele = InsertionBatch(positions, bits), DeletionBatch(positions)
+        check_both_rules(h, points, perms, ins, dele, back_end)
+
+    def test_column_whose_hashes_all_lie_below_its_batch_ranks(self, back_end):
+        # Under the identity the hashes are 1, 2 and EMPTY, below the batch
+        # ranks 7 and 8; reversed, the batch ranks 4 and 3 lie among them.
+        points = [SparseBinaryVector(10, s) for s in ((1, 9), (2, 5), ())]
+        perms = [Permutation(list(range(1, 11))), Permutation(list(range(10, 0, -1)))]
+        h = engine.sketch_matrix(engine.pack_supports(points), perms)
+        grown, shrunk = check_both_rules(
+            h, points, perms, InsertionBatch((7, 8), (1, 0)), DeletionBatch((7, 8)), back_end
+        )
+        assert grown[:, 0].tolist() == [1, 2, 7]
+        assert shrunk[:, 0].tolist() == [1, 2, 0]
+
+    def test_deleted_rank_equal_to_a_columns_largest_hash(self, back_end):
+        # Column 0's largest hash, 5, is deleted, and so is the hash 3.
+        ident = Permutation(list(range(1, 9)))
+        points = [SparseBinaryVector(8, s) for s in ((2, 5), (3, 6), (5, 7))]
+        perms = [ident, PI8]
+        h = engine.sketch_matrix(engine.pack_supports(points), perms)
+        assert h[:, 0].tolist() == [2, 3, 5]
+        _, shrunk = check_both_rules(
+            h, points, perms, InsertionBatch((3, 5), (0, 1)), DeletionBatch((3, 5)), back_end
+        )
+        assert shrunk[:, 0].tolist() == [2, 4, 5]
+
+    def test_one_permutation(self, back_end):
+        dim = 12
+        rng = np.random.default_rng(4)
+        points = random_points(rng, dim, (0, 1, 3, 6, dim))
+        perms = [random_permutation(dim, PermutationSeed(4, 0))]
+        h = engine.sketch_matrix(engine.pack_supports(points), perms)
+        for positions in ((1,), (dim,), (2, 5, 11), tuple(range(1, dim + 1))):
+            bits = tuple(i % 2 for i in range(len(positions)))
+            ins, dele = InsertionBatch(positions, bits), DeletionBatch(positions)
+            check_both_rules(h, points, perms, ins, dele, back_end)
+
+    def test_all_empty_rows(self, back_end):
+        dim = 9
+        empty = SparseBinaryVector(dim, ())
+        perms = [random_permutation(dim, PermutationSeed(6, j)) for j in range(4)]
+        for points in ([empty] * 3, [empty, SparseBinaryVector(dim, (2, 7)), empty]):
+            h = engine.sketch_matrix(engine.pack_supports(points), perms)
+            for bits in ((0, 0), (1, 0)):
+                grown, shrunk = check_both_rules(
+                    h, points, perms, InsertionBatch((2, 8), bits), DeletionBatch((2, 8)), back_end
+                )
+                assert grown[0].all() == (bits[0] == 1) and not shrunk[0].any()
+
+
+class TestStepTable:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_codes_match_their_definition(self, data):
+        # Every hash, clipped into its column's window, reads
+        # 2 * #{w <= r} + [r in W] from the table.
+        k = data.draw(st.integers(1, 4))
+        top = data.draw(st.integers(1, 30))
+        n = data.draw(st.integers(1, top))
+        ranks = st.sets(st.integers(1, top), min_size=n, max_size=n)
+        w = np.array([sorted(data.draw(ranks)) for _ in range(k)], dtype=np.int64)
+        values = data.draw(st.lists(st.integers(0, top + 3), min_size=k, max_size=3 * k))
+        h = np.array(values[: len(values) // k * k], dtype=np.int64).reshape(-1, k)
+        with count_back_end("table"):
+            lo, hi = sketch._step_windows(h, w)
+        table, base = sketch._step_table(w, lo, hi)
+        assert table.size == int((hi - lo + 1).sum())
+        for j in range(k):
+            for r in range(int(lo[j]), int(hi[j]) + 1):
+                assert table[base[j] + r] == 2 * (w[j] <= r).sum() + (r in w[j])
+            for r in h[:, j].tolist():
+                code = table[base[j] + min(max(r, lo[j]), hi[j])]
+                assert code == 2 * (w[j] <= r).sum() + (r in w[j])
+
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [(1, np.uint8), (127, np.uint8), (128, np.uint16), (32767, np.uint16), (32768, np.uint32)],
+    )
+    def test_codes_take_the_narrowest_dtype(self, n, dtype):
+        # The codes run up to 2n + 1, at the last batch rank.
+        w = np.arange(1, n + 1, dtype=np.int64)[None]
+        table, _ = sketch._step_table(w, w[:, 0] - 1, w[:, -1] + 1)
+        assert table.dtype == dtype
+        assert table[-2] == 2 * n + 1 and table[-1] == 2 * n
+
+
+class TestSizeRule:
+    @staticmethod
+    def back_ends_taken(call):
+        with patch.object(sketch, "_search_counts", wraps=sketch._search_counts) as search, \
+                patch.object(sketch, "_table_counts", wraps=sketch._table_counts) as table:
+            call()
+        return search.call_count, table.call_count
+
+    def test_one_row_calls_take_the_search(self):
+        dim = 1000
+        perms = [random_permutation(dim, PermutationSeed(8, j)) for j in range(128)]
+        point = SparseBinaryVector(dim, tuple(range(1, dim + 1, 7)))
+        sk = build_sketch(point, perms)
+        ins, dele = InsertionBatch((3, 500, 998), (0, 1, 0)), DeletionBatch((1, 8, 500))
+        assert self.back_ends_taken(lambda: update_sketch_insert(sk, perms, ins)) == (1, 0)
+        assert self.back_ends_taken(lambda: update_sketch_delete(sk, perms, point, dele)) == (1, 0)
+
+    def test_small_tables_on_many_rows_take_the_table(self):
+        dim = 1000
+        rng = np.random.default_rng(9)
+        perms = [random_permutation(dim, PermutationSeed(9, j)) for j in range(8)]
+        pack = engine.pack_supports(random_points(rng, dim, [200] * sketch._TABLE_MIN_ROWS))
         h = min_hash_matrix(perms, pack)
-        outputs = [
-            h,
-            engine.sketch_matrix(pack, perms, threads=2),
-            lift_hash_matrix(h, perms, ins),
-            drop_hash_matrix(h, perms, dele, pack),
-            engine.apply_sequential_insert(h, perms, ins),
-            engine.apply_sequential_delete(h, pack, perms, dele),
-            sketch._batch_ranks(h, perms, ins),
-        ]
-        for out in outputs:
-            assert out.dtype == np.int64
-        sk = build_sketch(X7, perms)
-        rows = [
-            sk.row,
-            update_sketch_insert(sk, perms, ins).row,
-            update_sketch_delete(sk, perms, X7, dele).row,
-            Sketch((3, EMPTY)).row,
-        ]
-        for row in rows:
-            assert row.dtype == np.int64
+        ins, dele = InsertionBatch((3, 500, 998), (0, 1, 0)), DeletionBatch((1, 8, 500))
+        assert self.back_ends_taken(lambda: lift_hash_matrix(h, perms, ins)) == (0, 1)
+        assert self.back_ends_taken(lambda: drop_hash_matrix(h, perms, dele, pack)) == (0, 1)
 
-    def test_hashes_past_int32_lift_and_drop_exactly(self):
-        # The kernels lift column j by j * (top + 1), past int32 for hashes
-        # near 2**31: the int32 ranks must meet them widened. Row 1 holds
-        # PI7's deleted rank 3, so the delete kernel rescans it.
-        big = [2**31 - 2, 2**31 + 5, 3 * 2**30, 2**40]
-        perms = [PI7] * len(big)
-        h = np.array([big, [3, 3, 2**31, 0]], dtype=np.int64)
-        batch = InsertionBatch((2, 5), (1, 0))
-        got = lift_hash_matrix(h, perms, batch)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, per_slot_insert(h, perms, batch))
-        assert np.array_equal(engine.apply_sequential_insert(h, perms, batch), got)
-        points = [X7, SparseBinaryVector(7, (2, 4))]
-        pack = engine.pack_supports(points)
-        dele = DeletionBatch((2, 5))
-        got = drop_hash_matrix(h, perms, dele, pack)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, per_slot_delete(h, points, perms, dele))
-        assert np.array_equal(engine.apply_sequential_delete(h, pack, perms, dele), got)
+    def test_tables_over_large_dimensions_stay_bounded(self):
+        # One-feature supports put the hashes anywhere in 1..d, so a step
+        # table would hold about 430 entries per slot (over 100 MB here); the
+        # size rule keeps the search, whose scratch stays near 4 MB.
+        d, p, k = 10**6, 2000, 128
+        perms = [random_permutation(d, PermutationSeed(1, 0))] * k
+        rng = np.random.default_rng(0)
+        pack = SupportPack(p, d, rng.choice(d, p, replace=False), np.ones(p, dtype=np.int64))
+        h = min_hash_matrix(perms, pack)
+        for n in (8, 64):
+            positions = tuple(sorted(int(x) + 1 for x in rng.choice(d, n, replace=False)))
+            ins, dele = InsertionBatch(positions, (0,) * n), DeletionBatch(positions)
+            for call in (
+                lambda: lift_hash_matrix(h, perms, ins),
+                lambda: drop_hash_matrix(h, perms, dele, pack),
+            ):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4 * h.nbytes
 
 
+@pytest.mark.parametrize("back_end", BACK_ENDS)
 class TestSketchWrappers:
     @given(matrix_case(max_points=1))
     @settings(max_examples=200, deadline=None)
-    def test_equal_the_per_slot_rules(self, case):
-        (point,), perms, positions, bits, h, _, _ = case
-        sk = Sketch(tuple(as_hash(v) for v in h[0]))
-        grown = update_sketch_insert(sk, perms, InsertionBatch(positions, bits))
-        assert grown.values == tuple(
-            multiple_lift_hash(v, p, positions, bits) for v, p in zip(sk.values, perms)
-        )
-        shrunk = update_sketch_delete(sk, perms, point, DeletionBatch(positions))
-        assert shrunk.values == tuple(
-            multiple_drop_hash(v, point, p, positions) for v, p in zip(sk.values, perms)
-        )
-        assert all(v is EMPTY or type(v) is int for v in grown.values + shrunk.values)
+    def test_equal_the_per_slot_rules(self, back_end, case):
+        with count_back_end(back_end):
+            (point,), perms, positions, bits, h, _, _ = case
+            sk = Sketch(tuple(as_hash(v) for v in h[0]))
+            grown = update_sketch_insert(sk, perms, InsertionBatch(positions, bits))
+            assert grown.values == tuple(
+                multiple_lift_hash(v, p, positions, bits) for v, p in zip(sk.values, perms)
+            )
+            shrunk = update_sketch_delete(sk, perms, point, DeletionBatch(positions))
+            assert shrunk.values == tuple(
+                multiple_drop_hash(v, point, p, positions) for v, p in zip(sk.values, perms)
+            )
+            assert all(v is EMPTY or type(v) is int for v in grown.values + shrunk.values)
 
-    def test_empty_slots_in_and_out(self):
-        sk = Sketch((EMPTY, min_hash(X7, PI7)))
-        grown = update_sketch_insert(sk, [PI7, PI7], InsertionBatch((2, 4), (0, 1)))
-        assert grown.values[0] == multiple_lift_hash(EMPTY, PI7, (2, 4), (0, 1)) != EMPTY
-        assert update_sketch_insert(sk, [PI7, PI7], InsertionBatch((2,), (0,))).values[0] is EMPTY
-        shrunk = update_sketch_delete(sk, [PI7, PI7], X7, DeletionBatch((1, 4, 6)))
-        assert shrunk.values == (EMPTY, EMPTY)
+    def test_empty_slots_in_and_out(self, back_end):
+        with count_back_end(back_end):
+            sk = Sketch((EMPTY, min_hash(X7, PI7)))
+            grown = update_sketch_insert(sk, [PI7, PI7], InsertionBatch((2, 4), (0, 1)))
+            assert grown.values[0] == multiple_lift_hash(EMPTY, PI7, (2, 4), (0, 1)) != EMPTY
+            zero = InsertionBatch((2,), (0,))
+            assert update_sketch_insert(sk, [PI7, PI7], zero).values[0] is EMPTY
+            shrunk = update_sketch_delete(sk, [PI7, PI7], X7, DeletionBatch((1, 4, 6)))
+            assert shrunk.values == (EMPTY, EMPTY)
 
 
 def constructor_sketch(row):

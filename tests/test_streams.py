@@ -5,13 +5,20 @@ Each step updates the hash matrix with ``lift_hash_matrix`` or
 ``multiple_drop_perm``, and edits the points with ``insert_features`` or
 ``delete_features``. After every step the matrix must equal re-sketching the
 edited points under the carried permutations, slot for slot. Seeded streams
-run fixed scenarios; ``MixedStream`` lets hypothesis choose the batches.
+run fixed scenarios; ``MixedStream`` lets hypothesis choose the batches, and
+runs once under each of the kernels' count back-ends.
 """
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from dynsketch.core import (
     DeletionBatch,
@@ -28,6 +35,8 @@ from dynsketch.permgen import (
     random_permutation,
 )
 from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, min_hash_matrix
+
+from _back_ends import BACK_ENDS, count_back_end
 
 
 class Stream:
@@ -177,7 +186,9 @@ class MixedStream(RuleBasedStateMachine):
         assert not self.stream.h.any()
 
 
-MixedStream.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=12, deadline=None
-)
-test_mixed_stream = MixedStream.TestCase
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_mixed_stream(back_end):
+    with count_back_end(back_end):
+        run_state_machine_as_test(
+            MixedStream, settings=settings(max_examples=60, stateful_step_count=12, deadline=None)
+        )
