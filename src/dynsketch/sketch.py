@@ -27,11 +27,12 @@ size rule (:func:`_step_windows`). The step table stores each column's
 codes 2 * #{w <= r} + [r in W] over the ranks between its smallest batch
 rank and its largest hash, in the narrowest unsigned dtype, and every slot
 reads its shift and, for a deletion, its hit bit with one narrow gather.
-The blocked search looks each slot up among its column's sorted ranks. The
-table serves matrices of at least ``_TABLE_MIN_ROWS`` rows whose tables
-hold at most ``_TABLE_ENTRIES_PER_SLOT`` entries per slot; the search serves
-the rest, such as the sketch-level wrappers' 1-row calls and hashes spread
-over a large dimension.
+The search lifts every column's hashes and sorted ranks apart and looks all
+slots up, column by column, in one ``np.searchsorted``. The table serves
+matrices of at least ``_TABLE_MIN_ROWS`` rows whose tables hold at most
+``_TABLE_ENTRIES_PER_SLOT`` entries per slot; the search serves the rest,
+such as the sketch-level wrappers' 1-row calls and hashes spread over a
+large dimension.
 """
 
 from __future__ import annotations
@@ -247,12 +248,6 @@ def multiple_drop_hash(
     return new_min - int(np.searchsorted(deleted, new_min, side="left"))
 
 
-# Lifted batch ranks that one column block of the search back-end searches at
-# a time. One search over all K * n ranks grows dearer with n than the rule's
-# constant cost per slot; blocks of this size keep the searched array
-# cache-sized.
-_SEARCH_BLOCK_ENTRIES = 1 << 10
-
 # The count front's size rule, :func:`_step_windows`, as measured at K=128 on
 # a 2-vCPU host (BENCH_16.json). The step table costs 30-60 us more per call
 # than the search and saves 10-20 ns per slot, so it pays from 32-64 rows of
@@ -260,9 +255,10 @@ _SEARCH_BLOCK_ENTRIES = 1 << 10
 _TABLE_MIN_ROWS = 64
 # ... and only while it holds at most this many entries per slot. It still
 # beats the search at 115 entries per slot and takes 2-3 times as long from
-# 260 on; 16 keeps a uint8 table within the search's own scratch of about two
-# int64 per slot, where hashes spread over a large dimension would make the
-# table grow with the dimension.
+# 260 on; 16 keeps a uint8 table within the search's own scratch, where hashes
+# spread over a large dimension would make the table grow with the dimension.
+# The search holds the query, its index and the output or, for a deletion,
+# the gathered neighbours at once: about 3 int64 per slot.
 _TABLE_ENTRIES_PER_SLOT = 16
 
 _NO_SURVIVOR = np.iinfo(np.int64).max
@@ -387,36 +383,26 @@ def _table_counts(h, w, sign, hits, lo, hi):
 
 
 def _search_counts(h, w, sign, hits):
-    """:func:`_shift_by_counts` from one search of each column block's
-    lifted hashes in its lifted ranks."""
-    k, n = w.shape
+    """:func:`_shift_by_counts` from one search of every lifted hash in all
+    columns' lifted ranks."""
     top = max(int(h.max(initial=0)), int(w.max(initial=0)))
     lifted, offsets = _lifted_ranks(w, top)
-    hit = np.empty(h.shape, dtype=bool) if hits else None
-    step = max(1, _SEARCH_BLOCK_ENTRIES // n)
-    blocks = []
-    for c0 in range(0, k, step):
-        cols = slice(c0, min(c0 + step, k))
-        block = lifted[c0 * n : cols.stop * n]
-        query = h[:, cols] + offsets[cols]
-        idx = np.searchsorted(block, query, side="right")
-        # idx minus the entries of the block's earlier columns is the count.
-        base = np.arange(cols.stop - c0, dtype=np.int64) * n
-        if hits:
-            idx -= 1
-            # idx is -1 only where the query lies below the whole block, so
-            # the wrapped read is above it and never equal.
-            np.equal(block.take(idx), query, out=hit[:, cols])
-            base -= 1
-        if sign > 0:
-            query += idx
-            query -= offsets[cols] + base
-        else:
-            query -= idx
-            query -= offsets[cols] - base
-        blocks.append(query)
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    return out, np.flatnonzero(hit) if hits else None
+    # Queries go column by column, so consecutive searches end among the
+    # same column's ranks, which stay in cache.
+    query = h.T + offsets[:, None]
+    idx = np.searchsorted(lifted, query, side="right")
+    # idx minus the n entries of each earlier column is the count.
+    base = np.arange(w.shape[0], dtype=np.int64) * w.shape[1]
+    hit = None
+    if hits:
+        idx -= 1
+        # idx is -1 only where the query lies below every rank, so the
+        # wrapped read is above it and never equal.
+        hit = np.flatnonzero((lifted.take(idx) == query).T)
+        base -= 1
+    idx -= base[:, None]
+    out = np.add(h, idx.T) if sign > 0 else np.subtract(h, idx.T)
+    return out, hit
 
 
 def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
@@ -436,7 +422,7 @@ def _lift(h, w, ones) -> np.ndarray:
     inserts a 1 when ``ones[i]``.
 
     The shifts come from :func:`_shift_by_counts`: one narrow gather per
-    slot from the step table, or the blocked search, as its size rule picks.
+    slot from the step table, or one search, as its size rule picks.
     """
     out, _ = _shift_by_counts(h, np.sort(w, axis=1), +1)
     if ones.any():

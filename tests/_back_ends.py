@@ -1,6 +1,6 @@
 """Patches that send every update-kernel call to one count back-end.
 
-The kernels' count front picks the step table or the blocked search by a
+The kernels' count front picks the step table or the search by a
 size rule (``sketch._step_windows``). Tests run each rule body under both:
 "table" lifts both limits of the rule, "search" sets a row minimum no matrix
 reaches.

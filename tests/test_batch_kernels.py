@@ -8,13 +8,14 @@ edited points under the lifted/dropped permutations. The sequential paths of
 ``engine`` fold the kernels' rule bodies one entry at a time; they are checked
 against ``lift_hash`` / ``drop_hash`` folded under ``lift_perm`` / ``drop_perm``
 and against the batch paths. Every update-kernel test runs under both count
-back-ends, the step table and the blocked search, with the size rule patched
-each way; under the search, its block size is patched down so that every
-example with more than one column crosses block boundaries, and the gather
-block size of ``min_hash_matrix`` likewise. Fixed cases cover the table's
-edges (codes past uint8, a column whose hashes all lie below its batch
-ranks, a deleted rank equal to a column's largest hash, K=1, all-EMPTY
-rows), a unit test checks the table's codes against their definition, and
+back-ends, the step table and the search of all columns at once, with the
+size rule patched each way; small dimensions make the columns' lifted ranges
+touch, where a hash could count the next column's ranks. The gather block
+size of ``min_hash_matrix`` is patched down so that its examples cross block
+boundaries. Fixed cases cover the table's edges (codes past uint8, a column
+whose hashes all lie below its batch ranks, a deleted rank equal to a
+column's largest hash, K=1, all-EMPTY rows, no permutations at all), a unit
+test checks the table's codes against their definition, and
 the size rule keeps 1-row calls on the search and bounds the memory of
 tables over large dimensions. ``row_to_sketch`` takes a
 kernel row without per-value checks; it is checked against the ``Sketch``
@@ -102,8 +103,7 @@ def matrix_case(draw, max_dim=24, max_points=6, max_perms=5):
         # Values above dim hold hashes above every batch rank of their column.
         values = draw(st.lists(st.integers(0, dim + 3), min_size=h.size, max_size=h.size))
         h = np.array(values, dtype=np.int64).reshape(h.shape)
-    block = draw(st.integers(1, n * max(k - 1, 1)))
-    return points, perms, positions, bits, h, mode == "true", block
+    return points, perms, positions, bits, h, mode == "true"
 
 
 def as_hash(v):
@@ -143,14 +143,14 @@ def per_slot_delete(h, points, perms, batch):
     ).reshape(h.shape)
 
 
-def kernel_insert(h, perms, batch, block, back_end):
-    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
+def kernel_insert(h, perms, batch, back_end):
+    with count_back_end(back_end):
         return lift_hash_matrix(h, perms, batch)
 
 
-def kernel_delete(h, points, perms, batch, block, back_end):
+def kernel_delete(h, points, perms, batch, back_end):
     pack = engine.pack_supports(points)
-    with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
+    with count_back_end(back_end):
         return drop_hash_matrix(h, perms, batch, pack)
 
 
@@ -249,9 +249,9 @@ class TestLiftHashMatrix:
     @given(matrix_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_per_slot_rule_and_resketch(self, back_end, case):
-        points, perms, positions, bits, h, true_sketch, block = case
+        points, perms, positions, bits, h, true_sketch = case
         batch = InsertionBatch(positions, bits)
-        got = kernel_insert(h, perms, batch, block, back_end)
+        got = kernel_insert(h, perms, batch, back_end)
         assert got.dtype == np.int64
         assert np.array_equal(got, per_slot_insert(h, perms, batch))
         if true_sketch:
@@ -264,10 +264,9 @@ class TestLiftHashMatrix:
         ident = Permutation([1, 2, 3, 4, 5, 6])
         h = np.array([[6, 6], [0, 3]], dtype=np.int64)
         batch = InsertionBatch((1, 2), (0, 0))
-        for block in (1, 2, 4):
-            got = kernel_insert(h, [ident, ident], batch, block, back_end)
-            assert got.tolist() == [[8, 8], [0, 5]]
-            assert np.array_equal(got, per_slot_insert(h, [ident, ident], batch))
+        got = kernel_insert(h, [ident, ident], batch, back_end)
+        assert got.tolist() == [[8, 8], [0, 5]]
+        assert np.array_equal(got, per_slot_insert(h, [ident, ident], batch))
 
     def test_edge_batches_against_resketch(self, back_end):
         dim = 9
@@ -284,13 +283,10 @@ class TestLiftHashMatrix:
             InsertionBatch((1, dim), (0, 0)),
             InsertionBatch(tuple(range(1, dim + 1)), (1,) * dim),
         ):
-            for block in (1, 2, 1024):
-                for k in (1, 3):
-                    got = kernel_insert(h[:, :k], perms[:k], batch, block, back_end)
-                    expected = resketch(
-                        points, perms[:k], insert_features, multiple_lift_perm, batch
-                    )
-                    assert np.array_equal(got, expected)
+            for k in (1, 3):
+                got = kernel_insert(h[:, :k], perms[:k], batch, back_end)
+                expected = resketch(points, perms[:k], insert_features, multiple_lift_perm, batch)
+                assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("back_end", BACK_ENDS)
@@ -298,9 +294,9 @@ class TestDropHashMatrix:
     @given(matrix_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_per_slot_rule_and_resketch(self, back_end, case):
-        points, perms, positions, _, h, true_sketch, block = case
+        points, perms, positions, _, h, true_sketch = case
         batch = DeletionBatch(positions)
-        got = kernel_delete(h, points, perms, batch, block, back_end)
+        got = kernel_delete(h, points, perms, batch, back_end)
         assert got.dtype == np.int64
         assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
         if true_sketch:
@@ -317,13 +313,12 @@ class TestDropHashMatrix:
         ]
         h = engine.sketch_matrix(engine.pack_supports(points), perms)
         batch = DeletionBatch((2, 5))
-        for block in (1, 3, 1024):
-            got = kernel_delete(h, points, perms, batch, block, back_end)
-            assert not got[0].any()
-            assert got[1].all()
-            assert not got[2].any()
-            expected = resketch(points, perms, delete_features, multiple_drop_perm, batch)
-            assert np.array_equal(got, expected)
+        got = kernel_delete(h, points, perms, batch, back_end)
+        assert not got[0].any()
+        assert got[1].all()
+        assert not got[2].any()
+        expected = resketch(points, perms, delete_features, multiple_drop_perm, batch)
+        assert np.array_equal(got, expected)
 
     def test_deleting_every_position(self, back_end):
         dim = 6
@@ -331,10 +326,9 @@ class TestDropHashMatrix:
         points = [SparseBinaryVector(dim, (1, 4)), SparseBinaryVector(dim, ())]
         h = engine.sketch_matrix(engine.pack_supports(points), perms)
         batch = DeletionBatch(tuple(range(1, dim + 1)))
-        for block in (1, 1024):
-            got = kernel_delete(h, points, perms, batch, block, back_end)
-            assert got.shape == h.shape and not got.any()
-            assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
+        got = kernel_delete(h, points, perms, batch, back_end)
+        assert got.shape == h.shape and not got.any()
+        assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
 
     def test_support_rank_above_every_hash_stays_in_its_column(self, back_end):
         # Both minima are deleted. Column 0's next support rank, 3, is above
@@ -344,29 +338,25 @@ class TestDropHashMatrix:
         perms = [Permutation([1, 2, 3]), Permutation([1, 3, 2])]
         h = np.array([[1, 1]], dtype=np.int64)
         batch = DeletionBatch((1,))
-        for block in (1, 1024):
-            got = kernel_delete(h, [x], perms, batch, block, back_end)
-            assert got.tolist() == [[2, 1]]
-            assert np.array_equal(got, per_slot_delete(h, [x], perms, batch))
+        got = kernel_delete(h, [x], perms, batch, back_end)
+        assert got.tolist() == [[2, 1]]
+        assert np.array_equal(got, per_slot_delete(h, [x], perms, batch))
 
     def test_hash_above_every_batch_rank_stays_in_its_column(self, back_end):
         ident = Permutation([1, 2, 3, 4, 5, 6])
         points = [SparseBinaryVector(6, (6,)), SparseBinaryVector(6, (1, 3))]
         h = np.array([[6, 6], [1, 1]], dtype=np.int64)
         batch = DeletionBatch((1, 2))
-        for block in (1, 2, 4):
-            got = kernel_delete(h, points, [ident, ident], batch, block, back_end)
-            assert got.tolist() == [[4, 4], [1, 1]]
-            assert np.array_equal(got, per_slot_delete(h, points, [ident, ident], batch))
+        got = kernel_delete(h, points, [ident, ident], batch, back_end)
+        assert got.tolist() == [[4, 4], [1, 1]]
+        assert np.array_equal(got, per_slot_delete(h, points, [ident, ident], batch))
 
 
 @st.composite
 def fold_case(draw):
     """A matrix_case with an EMPTY point added and, as often as not, an edge
-    batch: one entry, the first or last position, every position, all 1-bits.
-    The block size is drawn below K as often, so the one-entry steps of the
-    folds cross column blocks too."""
-    points, perms, positions, bits, h, _, block = draw(matrix_case())
+    batch: one entry, the first or last position, every position, all 1-bits."""
+    points, perms, positions, bits, h, _ = draw(matrix_case())
     dim, k = perms[0].dim, len(perms)
     points = points + [SparseBinaryVector(dim, ())]
     h = np.vstack([h, np.zeros((1, k), dtype=np.int64)])
@@ -376,8 +366,7 @@ def fold_case(draw):
     bits = draw(st.one_of(
         st.just((1,) * n), st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
     ))
-    block = draw(st.one_of(st.integers(1, max(k - 1, 1)), st.just(block)))
-    return points, perms, positions, bits, h, block
+    return points, perms, positions, bits, h
 
 
 def folded_lift_hash(h, perms, batch):
@@ -413,9 +402,9 @@ class TestSequentialFolds:
     @given(fold_case())
     @settings(max_examples=200, deadline=None)
     def test_insert_equals_folded_lift_hash_and_batch(self, back_end, case):
-        _, perms, positions, bits, h, block = case
+        _, perms, positions, bits, h = case
         batch = InsertionBatch(positions, bits)
-        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
+        with count_back_end(back_end):
             got = engine.apply_sequential_insert(h, perms, batch)
             assert np.array_equal(got, engine.apply_batch_insert(h, perms, batch))
         assert got.dtype == np.int64
@@ -424,10 +413,10 @@ class TestSequentialFolds:
     @given(fold_case())
     @settings(max_examples=200, deadline=None)
     def test_delete_equals_folded_drop_hash_and_batch(self, back_end, case):
-        points, perms, positions, _, h, block = case
+        points, perms, positions, _, h = case
         batch = DeletionBatch(positions)
         pack = engine.pack_supports(points)
-        with patch.object(sketch, "_SEARCH_BLOCK_ENTRIES", block), count_back_end(back_end):
+        with count_back_end(back_end):
             got = engine.apply_sequential_delete(h, pack, perms, batch)
             assert np.array_equal(got, engine.apply_batch_delete(h, pack, perms, batch))
         assert got.dtype == np.int64
@@ -596,6 +585,18 @@ class TestCountFrontEdges:
                 )
                 assert grown[0].all() == (bits[0] == 1) and not shrunk[0].any()
 
+    @pytest.mark.parametrize("points", [5, 70])
+    def test_no_permutations(self, back_end, points):
+        # K = 0: both kernels return the (P, 0) matrix, below and above the
+        # table's row minimum.
+        h = np.zeros((points, 0), dtype=np.int64)
+        pack = engine.pack_supports([SparseBinaryVector(6, (1, 3))] * points)
+        with count_back_end(back_end):
+            grown = lift_hash_matrix(h, [], InsertionBatch((2, 4), (1, 0)))
+            shrunk = drop_hash_matrix(h, [], DeletionBatch((2, 4)), pack)
+        for out in (grown, shrunk):
+            assert out.shape == (points, 0) and out.dtype == np.int64
+
 
 class TestStepTable:
     @given(st.data())
@@ -691,7 +692,7 @@ class TestSketchWrappers:
     @settings(max_examples=200, deadline=None)
     def test_equal_the_per_slot_rules(self, back_end, case):
         with count_back_end(back_end):
-            (point,), perms, positions, bits, h, _, _ = case
+            (point,), perms, positions, bits, h, _ = case
             sk = Sketch(tuple(as_hash(v) for v in h[0]))
             grown = update_sketch_insert(sk, perms, InsertionBatch(positions, bits))
             assert grown.values == tuple(

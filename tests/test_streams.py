@@ -6,7 +6,9 @@ Each step updates the hash matrix with ``lift_hash_matrix`` or
 ``delete_features``. After every step the matrix must equal re-sketching the
 edited points under the carried permutations, slot for slot. Seeded streams
 run fixed scenarios; ``MixedStream`` lets hypothesis choose the batches, and
-runs once under each of the kernels' count back-ends.
+runs once under each of the kernels' count back-ends. The permutations a
+stream carries must also stay minwise uniform, which one test measures over
+many independently seeded lineages.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from dynsketch.core import (
     insert_features,
     pack_supports,
 )
+from dynsketch.estimate import minwise_uniformity_test
 from dynsketch.permgen import (
     PermutationSeed,
     multiple_drop_perm,
@@ -37,6 +40,9 @@ from dynsketch.permgen import (
 from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, min_hash_matrix
 
 from _back_ends import BACK_ENDS, count_back_end
+
+# Criterion 5's tolerance for lifted permutations (tests/test_acceptance.py).
+LIFT_UNIFORMITY_TOLERANCE = 0.02
 
 
 class Stream:
@@ -138,6 +144,24 @@ def test_delete_batch_that_removes_every_support_bit_of_a_row():
     stream.delete(DeletionBatch(tuple(sorted(support + (2,)))))
     assert stream.points[0].support == () and not stream.h[0].any()
     run_alternating(stream, rng, 20)
+
+
+def test_carried_lineage_stays_minwise_uniform():
+    # Criterion 5 checks one lift or one drop. Here each trial carries its own
+    # permutation through five alternating batches of four random positions,
+    # as a stream does, and the minimum over a fixed set of the final frame
+    # must still land on each element about equally often.
+    def carried(t):
+        rng = np.random.default_rng((1006, t))
+        perm = random_permutation(64, PermutationSeed(8, t))
+        for step in range(5):
+            carry = multiple_lift_perm if step % 2 == 0 else multiple_drop_perm
+            perm = carry(perm, random_positions(rng, perm.dim, 4))
+        return perm
+
+    assert carried(0).dim == 68
+    result = minwise_uniformity_test(carried, (2, 15, 31, 50, 67), 5000)
+    assert result.max_deviation <= LIFT_UNIFORMITY_TOLERANCE, result.frequencies
 
 
 def positions_of(data, dim, max_size):
