@@ -23,7 +23,7 @@ excluded from the timed sections.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from time import perf_counter
 
 import numpy as np
@@ -102,24 +102,21 @@ class ExperimentConfig:
         object.__setattr__(self, "paths", paths)
 
     def echo(self) -> dict:
-        return {
-            "mode": self.mode,
-            "num_perms": self.num_perms,
-            "n_features": ",".join(str(n) for n in self.n_features),
-            "insert_one_prob": self.insert_one_prob,
-            "master_seed": self.master_seed,
-            "paths": ",".join(self.paths),
-            "scratch_perms": self.scratch_perms,
-            "repetitions": self.repetitions,
-            "threads": self.threads,
-            "data": self.data or "",
-            "synthetic": ",".join(str(v) for v in self.synthetic) if self.synthetic else "",
-            "sample_size": self.sample_size or "",
-        }
+        """Every field for the report: a tuple comma-joined, None as ""."""
+        echoed = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            echoed[f.name] = "" if value is None else value
+        return echoed
 
 
 @dataclass(frozen=True)
 class PathResult:
+    """One row of the report: the fields before ``sketch_digest`` are the
+    CSV columns, ``num_perms`` under the heading K."""
+
     path: str
     n: int
     num_perms: int
@@ -322,20 +319,7 @@ def emit_report(report: ExperimentReport, format: str = "csv") -> str:
     """Render a report as CSV (stable column order) or a human summary."""
     if format not in ("csv", "human"):
         raise ValidationError("format must be 'csv' or 'human'")
-    rows = [
-        (
-            r.path,
-            r.n,
-            r.num_perms,
-            r.rmse,
-            r.seconds,
-            r.speedup,
-            r.rmse_post,
-            r.speedup_max,
-            r.speedup_mean,
-        )
-        for r in report.results
-    ]
+    rows = [astuple(r)[: len(_CSV_COLUMNS)] for r in report.results]
     if format == "csv":
         lines = [",".join(_CSV_COLUMNS)]
         for row in rows:

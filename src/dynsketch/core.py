@@ -12,6 +12,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,33 +72,81 @@ def _as_positions(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SparseBinaryVector:
-    """A point in {0,1}^dim stored as its dimension plus sorted 1-positions.
+class _Value:
+    """The value contract of the core types.
 
-    The support is also held as a read-only 1-based int64 array, which
-    :meth:`support_index` returns without a copy. A vector from the public
-    constructor keeps its validated tuple and builds the array on first use;
-    one from the vector edits holds only the array, and builds the tuple of
-    Python ints the first time ``support`` is read.
+    A subclass names its public constructor's arguments in ``_args`` and the
+    fields it compares and hashes by in ``_key``. :meth:`_own` sets each field
+    once and makes every array among them read-only; rebinding or deleting an
+    attribute raises AttributeError. Copies and pickles go through the public
+    constructor, which gives each its own read-only arrays (numpy's copy of
+    an array would be writable).
     """
 
-    dim: int
-    # A factory, not a plain default, so that the class has no ``support``
-    # attribute to shadow :meth:`__getattr__`, which builds an edit's tuple.
-    support: tuple[int, ...] = field(default_factory=tuple)
+    _args: tuple[str, ...]
+    _key: tuple[str, ...]
 
-    def __post_init__(self):
-        dim = int(self.dim)
+    def _own(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self._key)
+
+    def __hash__(self):
+        content = (getattr(self, name) for name in self._key)
+        return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in content))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__name__}({args})"
+
+
+def _position_array(positions: tuple[int, ...], what: str, taker: str = "a batch") -> np.ndarray:
+    """A read-only int64 array of increasing 1-based positions, refused past int64."""
+    if positions and positions[-1] > _INT64_MAX:
+        raise ValidationError(
+            f"{what} {positions[-1]} exceeds {_INT64_MAX}, the largest {taker} takes"
+        )
+    out = np.array(positions, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+class SparseBinaryVector(_Value):
+    """A point in {0,1}^dim stored as its dimension plus sorted 1-positions.
+
+    The vector holds its support once, as a read-only 1-based int64 array
+    that :meth:`support_index` returns without a copy. ``support`` is that
+    array as a tuple of Python ints, built on each read.
+    """
+
+    _args = ("dim", "support")
+    _key = ("dim", "_index")
+
+    def __init__(self, dim: int, support=()):
+        dim = int(dim)
         if dim < 0:
             raise ValidationError("dimension must be non-negative")
-        support = _as_positions(self.support, "support index", "support indices")
+        support = _as_positions(support, "support index", "support indices")
         if support and support[-1] > dim:
             raise ValidationError(
                 f"support index {support[-1]} exceeds dimension {dim}"
             )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "support", support)
+        self._own(dim=dim, _index=_position_array(support, "support index", "a vector"))
 
     @classmethod
     def from_dense(cls, bits) -> "SparseBinaryVector":
@@ -110,7 +159,7 @@ class SparseBinaryVector:
     @classmethod
     def _from_valid(cls, dim: int, support: np.ndarray) -> "SparseBinaryVector":
         """Take ownership of a support array that is valid by construction,
-        skipping the checks and the tuple.
+        skipping the checks.
 
         For two trusted callers only. The vector edits build a fresh
         1-based, strictly increasing int64 support at most ``dim`` from a
@@ -120,25 +169,13 @@ class SparseBinaryVector:
         The array is made read-only and becomes the vector's
         :meth:`support_index`.
         """
-        support.setflags(write=False)
         vector = object.__new__(cls)
-        object.__setattr__(vector, "dim", dim)
-        object.__setattr__(vector, "_index", support)
+        vector._own(dim=dim, _index=support)
         return vector
 
-    def __getattr__(self, name):
-        # Reached only for an attribute the instance does not hold: the
-        # support of an edited vector, whose tuple is built here once.
-        if name == "support" and "_index" in self.__dict__:
-            support = tuple(self._index.tolist())
-            object.__setattr__(self, "support", support)
-            return support
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __reduce__(self):
-        # Copies and pickles go through the constructor, which gives each its
-        # own read-only array; numpy's copy of the array would be writable.
-        return type(self), (self.dim, self.support)
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(self._index.tolist())
 
     def to_dense(self) -> list[int]:
         dense = [0] * self.dim
@@ -152,12 +189,7 @@ class SparseBinaryVector:
 
         Subtract 1 to index ``Permutation.rank``, as every caller does.
         """
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = np.fromiter(self.support, dtype=np.int64, count=len(self.support))
-            index.setflags(write=False)
-            object.__setattr__(self, "_index", index)
-        return index
+        return self._index
 
 
 def _int64_copy(values, message: str) -> np.ndarray:
@@ -170,12 +202,15 @@ def _int64_copy(values, message: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-class Permutation:
+class Permutation(_Value):
     """A bijection on {1..dim}; ``rank[i - 1]`` is the rank given to position i.
 
     ``rank`` is a read-only int32 array, whichever constructor built it, so
     ``dim`` is at most ``2**31 - 1``.
     """
+
+    _args = ("rank",)
+    _key = ("rank",)
 
     def __init__(self, rank):
         arr = _int64_copy(rank, "ranks must be integers")
@@ -188,11 +223,7 @@ class Permutation:
                 raise ValidationError(f"ranks must lie in 1..{dim}")
             if int(np.bincount(arr, minlength=dim + 1)[1:].max()) > 1:
                 raise ValidationError("ranks must not repeat")
-        arr = arr.astype(np.int32)
-        arr.setflags(write=False)
-        self.rank = arr
-        self.dim = dim
-        self._inverse = None
+        self._own(rank=arr.astype(np.int32), dim=dim)
 
     @classmethod
     def _from_valid(cls, rank: np.ndarray) -> "Permutation":
@@ -203,11 +234,8 @@ class Permutation:
         are about a third of a ``random_permutation`` call. The array is made
         read-only, as the public constructor's copy is.
         """
-        rank.setflags(write=False)
         perm = object.__new__(cls)
-        perm.rank = rank
-        perm.dim = int(rank.size)
-        perm._inverse = None
+        perm._own(rank=rank, dim=int(rank.size))
         return perm
 
     def value_at(self, position: int) -> int:
@@ -216,26 +244,16 @@ class Permutation:
             raise ValidationError(f"position {position} out of range 1..{self.dim}")
         return int(self.rank[position - 1])
 
-    @property
+    @cached_property
     def inverse(self) -> np.ndarray:
         """Lookup table: ``inverse[r - 1]`` is the 1-based position holding rank r."""
-        if self._inverse is None:
-            inv = np.empty(self.dim, dtype=np.int64)
-            inv[self.rank - 1] = np.arange(1, self.dim + 1)
-            inv.setflags(write=False)
-            self._inverse = inv
-        return self._inverse
+        inv = np.empty(self.dim, dtype=np.int64)
+        inv[self.rank - 1] = np.arange(1, self.dim + 1)
+        inv.setflags(write=False)
+        return inv
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self.rank)
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.dim == other.dim and bool(np.array_equal(self.rank, other.rank))
-
-    def __hash__(self):
-        return hash((self.dim, self.rank.tobytes()))
 
     def __repr__(self):
         return f"Permutation({list(self.as_tuple())})"
@@ -248,60 +266,51 @@ def _as_hash(value) -> HashValue:
         v = int(value)
         if v < 1:
             raise ValidationError(f"hash value {v} must be at least 1 or EMPTY")
+        if v > _INT64_MAX:
+            raise ValidationError(
+                f"hash value {v} exceeds {_INT64_MAX}, the largest a sketch takes"
+            )
         return v
     raise ValidationError(f"{value!r} is not a hash value")
 
 
-@dataclass(frozen=True)
-class Sketch:
-    """K minwise hash values for one point, entry j taken under permutation j,
-    also held as ``row``, a read-only int64 hash-matrix row with 0 for EMPTY."""
+class Sketch(_Value):
+    """K minwise hash values for one point, entry j taken under permutation j.
 
-    values: tuple
-    row: np.ndarray = field(init=False, compare=False, repr=False)
+    The sketch holds them once, as ``row``: a read-only int64 hash-matrix row
+    with 0 for EMPTY. ``values`` is that row as a tuple of Python ints with
+    EMPTY for 0, built on each read.
+    """
 
-    def __post_init__(self):
-        values = tuple(_as_hash(v) for v in self.values)
+    _args = ("values",)
+    _key = ("row",)
+
+    def __init__(self, values):
+        values = [_as_hash(v) for v in values]
         if not values:
             raise ValidationError("a sketch needs at least one slot")
-        row = np.array([0 if v is EMPTY else v for v in values], dtype=np.int64)
-        row.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row", row)
+        self._own(row=np.array([0 if v is EMPTY else v for v in values], dtype=np.int64))
 
     @classmethod
-    def _from_row(cls, values: tuple, row: np.ndarray) -> "Sketch":
+    def _from_row(cls, row: np.ndarray) -> "Sketch":
         """Take ownership of a hash-matrix row that is valid by construction,
-        and of its values, skipping the per-value checks.
+        skipping the per-value checks.
 
         For :func:`dynsketch.sketch.row_to_sketch` only: ``row`` is a fresh
-        non-empty 1-D int64 array with no negative entry, and ``values`` its
-        entries as Python ints with EMPTY for 0. The array is made read-only
-        and becomes ``row``.
+        non-empty 1-D int64 array with no negative entry. The array is made
+        read-only and becomes ``row``.
         """
-        row.setflags(write=False)
         sketch = object.__new__(cls)
-        object.__setattr__(sketch, "values", values)
-        object.__setattr__(sketch, "row", row)
+        sketch._own(row=row)
         return sketch
 
-    def __reduce__(self):
-        return type(self), (self.values,)
+    @property
+    def values(self) -> tuple:
+        return tuple(EMPTY if v == 0 else v for v in self.row.tolist())
 
     @property
     def num_perms(self) -> int:
-        return len(self.values)
-
-
-def _batch_array(values: tuple[int, ...], what: str) -> np.ndarray:
-    """A read-only int64 array of a batch's increasing 1-based positions."""
-    if values and values[-1] > _INT64_MAX:
-        raise ValidationError(
-            f"{what} {values[-1]} exceeds {_INT64_MAX}, the largest a batch takes"
-        )
-    out = np.array(values, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+        return self.row.size
 
 
 class _Batch:
@@ -338,21 +347,22 @@ class InsertionBatch(_Batch):
 
     def __post_init__(self):
         positions = _as_positions(self.positions)
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(self.bits)
         if not positions:
             raise ValidationError("batch must contain at least one position")
         if len(bits) != len(positions):
             raise ValidationError("positions and bits must have equal length")
-        if any(b not in (0, 1) for b in bits):
+        if not all(isinstance(b, (int, np.integer, np.bool_)) and b in (0, 1) for b in bits):
             raise ValidationError("bits must be 0 or 1")
+        bits = tuple(map(int, bits))
         landed = tuple(m + i for i, (m, b) in enumerate(zip(positions, bits)) if b == 1)
         one_mask = np.array(bits, dtype=bool)
         one_mask.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "position_array", _batch_array(positions, "position"))
+        object.__setattr__(self, "position_array", _position_array(positions, "position"))
         object.__setattr__(self, "one_mask", one_mask)
-        object.__setattr__(self, "landed_ones", _batch_array(landed, "landed position"))
+        object.__setattr__(self, "landed_ones", _position_array(landed, "landed position"))
 
     def __reduce__(self):  # through the constructor, as for vectors
         return type(self), (self.positions, self.bits)
@@ -373,7 +383,7 @@ class DeletionBatch(_Batch):
         if not positions:
             raise ValidationError("batch must contain at least one position")
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "position_array", _batch_array(positions, "position"))
+        object.__setattr__(self, "position_array", _position_array(positions, "position"))
 
     def __reduce__(self):
         return type(self), (self.positions,)
@@ -433,8 +443,7 @@ def _members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - _segment_starts(sizes), sizes) + np.arange(total)
 
 
-@dataclass(frozen=True, eq=False)
-class SupportPack:
+class SupportPack(_Value):
     """Supports of many points flattened for gather/reduceat kernels.
 
     Point i's 0-based support is ``flat[starts[i] : starts[i] + lengths[i]]``.
@@ -452,18 +461,17 @@ class SupportPack:
     ``lengths``.
     """
 
-    count: int
-    dim: int
-    flat: np.ndarray       # all 0-based supports concatenated
-    lengths: np.ndarray    # per-point support sizes
-    starts: np.ndarray = field(init=False, compare=False, repr=False)
+    _args = ("count", "dim", "flat", "lengths")
+    _key = _args
 
-    def __post_init__(self):
-        count, dim = int(self.count), int(self.dim)
+    def __init__(self, count: int, dim: int, flat, lengths):
+        """``flat`` holds all 0-based supports concatenated, ``lengths`` the
+        per-point support sizes."""
+        count, dim = int(count), int(dim)
         if dim < 0:
             raise ValidationError("dimension must be non-negative")
-        flat = _int64_copy(self.flat, "packed support entries must be integers")
-        lengths = _int64_copy(self.lengths, "support lengths must be integers")
+        flat = _int64_copy(flat, "packed support entries must be integers")
+        lengths = _int64_copy(lengths, "support lengths must be integers")
         if flat.ndim != 1 or lengths.ndim != 1:
             raise ValidationError("packed supports and lengths must be flat sequences")
         if lengths.size != count:
@@ -475,10 +483,11 @@ class SupportPack:
             raise ValidationError(f"support lengths must sum to the {flat.size} packed entries")
         if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= dim):
             raise ValidationError(f"packed support entries must lie in 0..{dim - 1}")
-        self._own(count, dim, flat, lengths)
+        starts = _segment_starts(lengths)
+        self._own(count=count, dim=dim, flat=flat, lengths=lengths, starts=starts)
         step = np.diff(flat)
         # The step into a later point's first entry crosses points: let it pass.
-        cross = self.starts[(self.starts > 0) & (self.starts < flat.size)]
+        cross = starts[(starts > 0) & (starts < flat.size)]
         step[cross - 1] = 1
         if int(step.min(initial=1)) < 1:
             raise ValidationError("packed support entries must strictly increase within each point")
@@ -492,35 +501,9 @@ class SupportPack:
         constructor's copies are.
         """
         pack = object.__new__(cls)
-        pack._own(int(lengths.size), dim, flat, lengths)
-        return pack
-
-    def _own(self, count: int, dim: int, flat: np.ndarray, lengths: np.ndarray) -> None:
-        """Set the fields, with ``starts`` computed from the lengths, and make
-        the arrays read-only."""
         starts = _segment_starts(lengths)
-        for arr in (flat, lengths, starts):
-            arr.setflags(write=False)
-        for name, value in zip(
-            ("count", "dim", "flat", "lengths", "starts"), (count, dim, flat, lengths, starts)
-        ):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if not isinstance(other, SupportPack):
-            return NotImplemented
-        return (
-            self.count == other.count
-            and self.dim == other.dim
-            and bool(np.array_equal(self.flat, other.flat))
-            and bool(np.array_equal(self.lengths, other.lengths))
-        )
-
-    def __hash__(self):
-        return hash((self.count, self.dim, self.flat.tobytes(), self.lengths.tobytes()))
-
-    def __reduce__(self):  # through the constructor, as for vectors
-        return type(self), (self.count, self.dim, self.flat, self.lengths)
+        pack._own(count=int(lengths.size), dim=dim, flat=flat, lengths=lengths, starts=starts)
+        return pack
 
 
 def pack_supports(vectors) -> SupportPack:

@@ -500,19 +500,16 @@ def _drop(h, cur, base, gone, perms, pack: SupportPack) -> np.ndarray:
 
 
 def row_to_sketch(row: np.ndarray) -> Sketch:
-    """One hash-matrix row as a Sketch: the one place 0 becomes EMPTY.
+    """One hash-matrix row as a Sketch.
 
     A non-empty 1-D int64 row with no negative entry, as every kernel
-    returns, is checked by one comparison and a copy of it taken without
-    per-value checks; any other row goes through the Sketch constructor and
-    its messages.
+    returns, is checked by one comparison and a copy of it becomes the
+    sketch's row without per-value checks; any other row goes through the
+    Sketch constructor and its messages.
     """
-    values = row.tolist()
     if row.dtype == np.int64 and row.ndim == 1 and row.size and row.min() >= 0:
-        for i in np.flatnonzero(row == 0).tolist():
-            values[i] = EMPTY
-        return Sketch._from_row(tuple(values), row.copy())
-    return Sketch(tuple(EMPTY if v == 0 else v for v in values))
+        return Sketch._from_row(row.copy())
+    return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
 
 
 def update_sketch_insert(sk: Sketch, perms, batch: InsertionBatch) -> Sketch:

@@ -13,9 +13,11 @@ from dynsketch.core import (
     Permutation,
     Sketch,
     SparseBinaryVector,
+    SupportPack,
     ValidationError,
     delete_features,
     insert_features,
+    pack_supports,
     EMPTY,
 )
 from _reference import delete_features_bisect, insert_features_bisect
@@ -76,6 +78,14 @@ class TestSparseBinaryVector:
         # The repr of a numpy scalar in the message depends on the numpy version.
         with pytest.raises(ValidationError, match=r"^support index .* is not an integer$"):
             SparseBinaryVector(5, support)
+
+    def test_support_past_int64_is_rejected_when_built(self):
+        with pytest.raises(ValidationError) as info:
+            SparseBinaryVector(2**70, (2**65,))
+        assert str(info.value) == (
+            "support index 36893488147419103232 exceeds 9223372036854775807, "
+            "the largest a vector takes"
+        )
 
     def test_unsorted_support_message_is_plural(self):
         with pytest.raises(
@@ -139,6 +149,20 @@ class TestSketchType:
         with pytest.raises(ValidationError):
             Sketch((0,))
 
+    def test_hash_past_int64_is_rejected_when_built(self):
+        with pytest.raises(ValidationError) as info:
+            Sketch((1, 2**63))
+        assert str(info.value) == (
+            "hash value 9223372036854775808 exceeds 9223372036854775807, "
+            "the largest a sketch takes"
+        )
+
+    def test_values_are_derived_from_the_row(self):
+        sk = Sketch((3, EMPTY, np.int64(1)))
+        assert sk.row.tolist() == [3, 0, 1]
+        assert sk.values == (3, EMPTY, 1) and all(type(v) is int for v in sk.values[::2])
+        assert "values" not in sk.__dict__
+
 
 class TestBatches:
     def test_insertion_batch_checks(self):
@@ -152,6 +176,19 @@ class TestBatches:
             InsertionBatch((1, 2), (1,))
         with pytest.raises(ValidationError):
             InsertionBatch((), ())
+
+    @pytest.mark.parametrize(
+        "bits", [(1.7,), (0.5,), (1.0,), ("1",), (None,), (np.float64(1),)],
+        ids=["1.7", "0.5", "1.0", "str", "None", "float64"],
+    )
+    def test_non_integer_bits_are_refused(self, bits):
+        with pytest.raises(ValidationError, match=r"^bits must be 0 or 1$"):
+            InsertionBatch((1,), bits)
+
+    def test_integer_and_bool_bits_are_accepted(self):
+        batch = InsertionBatch((1, 2, 3, 4), (True, np.int8(1), np.False_, np.uint64(0)))
+        assert batch.bits == (1, 1, 0, 0)
+        assert all(type(b) is int for b in batch.bits)
 
     @pytest.mark.parametrize(
         "batch",
@@ -368,8 +405,9 @@ def assert_vector_contract(v):
 
 
 class TestVectorContract:
-    """A vector from the edits, which holds only its array until the tuple is
-    read, is indistinguishable from the constructor's vector."""
+    """A vector from the edits and one from the constructor each hold one
+    read-only int64 array, from which ``support`` is built on read, and are
+    indistinguishable."""
 
     @given(edit_case())
     @settings(max_examples=200)
@@ -384,15 +422,10 @@ class TestVectorContract:
             (delete_features(vector, deletion), delete_features_bisect(vector, deletion)),
             (wrapped, vector),
         ]
-        for i, (edited, built) in enumerate(pairs):
-            # Each check comes first once, so each builds the edited tuple.
-            checks = [
-                lambda: edited == built and built == edited,
-                lambda: hash(edited) == hash(built),
-                lambda: repr(edited) == repr(built),
-            ]
-            assert checks[i]()
-            assert all(check() for check in checks)
+        for edited, built in pairs:
+            assert edited == built and built == edited
+            assert hash(edited) == hash(built)
+            assert repr(edited) == repr(built)
             assert_vector_contract(edited)
             assert_vector_contract(built)
 
@@ -406,25 +439,64 @@ class TestVectorContract:
             assert_vector_contract(twin)
 
 
+VALUES = {
+    "insertion": InsertionBatch((1, 3), (1, 0)),
+    "all-zero-insertion": InsertionBatch((2, 4), (0, 0)),
+    "deletion": DeletionBatch((1, 4)),
+    "sketch": Sketch((3, EMPTY, 1)),
+    "permutation": Permutation([2, 3, 1]),
+    "vector": SparseBinaryVector(5, (1, 4)),
+    "edited-vector": delete_features(SparseBinaryVector(6, (1, 2, 5)), DeletionBatch((2,))),
+    "pack": pack_supports([SparseBinaryVector(5, (1, 4)), SparseBinaryVector(5)]),
+    "checked-pack": SupportPack(2, 5, [0, 3], [2, 0]),
+}
+
+ARRAYS = {
+    InsertionBatch: lambda b: (b.position_array, b.one_mask, b.landed_ones),
+    DeletionBatch: lambda b: (b.position_array,),
+    Sketch: lambda sk: (sk.row,),
+    Permutation: lambda p: (p.rank, p.inverse),
+    SparseBinaryVector: lambda v: (v.support_index(),),
+    SupportPack: lambda pack: (pack.flat, pack.lengths, pack.starts),
+}
+
+
 @pytest.mark.parametrize(
     "twin_of",
     [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
     ids=["copy", "deepcopy", "pickle"],
 )
-@pytest.mark.parametrize(
-    "value, arrays",
-    [
-        (InsertionBatch((1, 3), (1, 0)), ("position_array", "one_mask", "landed_ones")),
-        (InsertionBatch((2, 4), (0, 0)), ("position_array", "one_mask", "landed_ones")),
-        (DeletionBatch((1, 4)), ("position_array",)),
-        (Sketch((3, EMPTY, 1)), ("row",)),
-    ],
-    ids=["insertion", "all-zero-insertion", "deletion", "sketch"],
-)
-def test_batch_and_sketch_copies_keep_read_only_arrays(value, arrays, twin_of):
+@pytest.mark.parametrize("value", list(VALUES.values()), ids=list(VALUES))
+def test_batch_and_sketch_copies_keep_read_only_arrays(value, twin_of):
     twin = twin_of(value)
-    assert twin == value and repr(twin) == repr(value)
-    for name in arrays:
-        got, want = getattr(twin, name), getattr(value, name)
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    arrays = ARRAYS[type(value)]
+    for got, want in zip(arrays(twin), arrays(value)):
+        assert got is not want
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+
+
+FIELDS = {
+    InsertionBatch: ("positions", "bits", "position_array", "one_mask", "landed_ones"),
+    DeletionBatch: ("positions", "position_array"),
+    Sketch: ("values", "row"),
+    Permutation: ("rank", "dim", "inverse"),
+    SparseBinaryVector: ("dim", "support"),
+    SupportPack: ("count", "dim", "flat", "lengths", "starts"),
+}
+
+
+@pytest.mark.parametrize("value", list(VALUES.values()), ids=list(VALUES))
+def test_value_types_refuse_rebinding(value):
+    before = repr(value)
+    for name in FIELDS[type(value)]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == before

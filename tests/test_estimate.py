@@ -116,8 +116,8 @@ class TestOnePairPathsMatchReferences:
         assert (est.collisions, est.comparable_slots) == slot_counts_loops(a, b)
         assert type(est.collisions) is int and type(est.comparable_slots) is int
         assert est.estimated_jaccard == pairwise_estimates_loops([a, b])[0]
-        # Deleting one appended slot builds each vector through the edits,
-        # which hold the support array and no tuple until one is read.
+        # Deleting one appended slot builds each vector through the edits;
+        # a vector holds only its support array, never a tuple.
         x, y = (
             delete_features(SparseBinaryVector(dim + 1, tuple(sorted(s))), DeletionBatch((dim + 1,)))
             for s in supports
