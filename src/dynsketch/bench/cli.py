@@ -176,6 +176,8 @@ def _uniformity_command(args) -> str:
         if dim < args.set_size + 2:
             raise ValidationError("--dim too small for the requested set size")
         out_dim = dim + 1 if source == "lift" else (dim - 1 if source == "drop" else dim)
+        # The streams [seed, 17] here and [seed, 19] below are also those of
+        # the permutations of trials 17 and 19.
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 17]))
         support = tuple(
             int(u) for u in np.sort(rng.choice(out_dim, size=args.set_size, replace=False) + 1)

@@ -7,8 +7,9 @@ import numpy as np
 from dynsketch.core import SparseBinaryVector, ValidationError
 from dynsketch.ingest import Corpus
 
-# Keeps the corpus stream independent of the permutation and workload streams
-# drawn from the same master seed.
+# The corpus stream, SeedSequence([seed, 11]), is also the stream of
+# permutation 11 under the same master seed (PermutationSeed(seed, 11)). It
+# stays, as the benchmark's pinned digests are built on it.
 _SYNTHETIC_STREAM = 11
 
 

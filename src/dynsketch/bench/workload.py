@@ -16,6 +16,9 @@ import numpy as np
 
 from dynsketch.core import DeletionBatch, InsertionBatch, ValidationError
 
+# The workload stream, SeedSequence([seed, 13]), is also the stream of
+# permutation 13 under the same master seed. It stays, as the benchmark's
+# pinned digests are built on it.
 _WORKLOAD_STREAM = 13
 
 

@@ -11,7 +11,6 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -116,14 +115,12 @@ class _Value:
 
 
 def _position_array(positions: tuple[int, ...], what: str, taker: str = "a batch") -> np.ndarray:
-    """A read-only int64 array of increasing 1-based positions, refused past int64."""
+    """An int64 array of increasing 1-based positions, refused past int64."""
     if positions and positions[-1] > _INT64_MAX:
         raise ValidationError(
             f"{what} {positions[-1]} exceeds {_INT64_MAX}, the largest {taker} takes"
         )
-    out = np.array(positions, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    return np.array(positions, dtype=np.int64)
 
 
 class SparseBinaryVector(_Value):
@@ -313,7 +310,7 @@ class Sketch(_Value):
         return self.row.size
 
 
-class _Batch:
+class _Batch(_Value):
     """What both batches share: their length and the check against a dimension."""
 
     def __len__(self) -> int:
@@ -326,7 +323,6 @@ class _Batch:
             )
 
 
-@dataclass(frozen=True)
 class InsertionBatch(_Batch):
     """Sorted distinct positions to insert, with the bit value for each.
 
@@ -339,15 +335,12 @@ class InsertionBatch(_Batch):
     a 1, and the landed positions ``positions[i] + i`` of those 1-bits.
     """
 
-    positions: tuple[int, ...]
-    bits: tuple[int, ...]
-    position_array: np.ndarray = field(init=False, compare=False, repr=False)
-    one_mask: np.ndarray = field(init=False, compare=False, repr=False)
-    landed_ones: np.ndarray = field(init=False, compare=False, repr=False)
+    _args = ("positions", "bits")
+    _key = _args
 
-    def __post_init__(self):
-        positions = _as_positions(self.positions)
-        bits = tuple(self.bits)
+    def __init__(self, positions, bits):
+        positions = _as_positions(positions)
+        bits = tuple(bits)
         if not positions:
             raise ValidationError("batch must contain at least one position")
         if len(bits) != len(positions):
@@ -356,37 +349,29 @@ class InsertionBatch(_Batch):
             raise ValidationError("bits must be 0 or 1")
         bits = tuple(map(int, bits))
         landed = tuple(m + i for i, (m, b) in enumerate(zip(positions, bits)) if b == 1)
-        one_mask = np.array(bits, dtype=bool)
-        one_mask.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "position_array", _position_array(positions, "position"))
-        object.__setattr__(self, "one_mask", one_mask)
-        object.__setattr__(self, "landed_ones", _position_array(landed, "landed position"))
-
-    def __reduce__(self):  # through the constructor, as for vectors
-        return type(self), (self.positions, self.bits)
+        self._own(
+            positions=positions,
+            bits=bits,
+            position_array=_position_array(positions, "position"),
+            one_mask=np.array(bits, dtype=bool),
+            landed_ones=_position_array(landed, "landed position"),
+        )
 
 
-@dataclass(frozen=True)
 class DeletionBatch(_Batch):
     """Sorted distinct positions to delete, in the pre-deletion frame.
 
     ``position_array`` is the positions as a read-only int64 array.
     """
 
-    positions: tuple[int, ...]
-    position_array: np.ndarray = field(init=False, compare=False, repr=False)
+    _args = ("positions",)
+    _key = _args
 
-    def __post_init__(self):
-        positions = _as_positions(self.positions)
+    def __init__(self, positions):
+        positions = _as_positions(positions)
         if not positions:
             raise ValidationError("batch must contain at least one position")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "position_array", _position_array(positions, "position"))
-
-    def __reduce__(self):
-        return type(self), (self.positions,)
+        self._own(positions=positions, position_array=_position_array(positions, "position"))
 
 
 def _edit_dim(dim: int) -> int:

@@ -128,12 +128,12 @@ def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int
 
     Group g holds the distinct rows ``rows[starts[g] : starts[g] + sizes[g]]``.
     Groups of 2 up to a size split (P // ``_SPLIT_DIVISOR``, at least 2) are
-    enumerated pair by pair and counted with ``np.bincount``, which makes the
-    output buffer. The few at or above the split become the columns of a
-    dense P x G 0/1 matrix X, and each row block adds the strict upper
-    triangle of ``X[lo:hi] @ X[lo:].T`` to its condensed segment in place.
-    Scratch memory holds about ``_BLOCK_ENTRIES`` entries at a time; a chunk
-    of small groups can exceed it only by its last group's pairs.
+    enumerated pair by pair and counted into the output with ``np.add.at``.
+    The few at or above the split become the columns of a dense P x G 0/1
+    matrix X, and each row block adds the strict upper triangle of
+    ``X[lo:hi] @ X[lo:].T`` to its condensed segment in place. Scratch
+    memory holds about ``_BLOCK_ENTRIES`` entries at a time; a chunk of small
+    groups can exceed it only by its last group's pairs.
     """
     npairs = p * (p - 1) // 2
     split = max(2, p // _SPLIT_DIVISOR)
@@ -144,20 +144,14 @@ def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int
     base = i * (2 * p - i - 3) // 2 - 1
     chunk = np.cumsum(sizes_s * (sizes_s - 1) // 2) // _BLOCK_ENTRIES
     cuts = [*np.flatnonzero(np.diff(chunk, prepend=-1)), sizes_s.size]
-    out = None
+    out = np.zeros(npairs, dtype=np.float64)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         pos = _members(starts_s[lo:hi], sizes_s[lo:hi])
         # Each member pairs with the members after it in its group.
         later = np.repeat(starts_s[lo:hi] + sizes_s[lo:hi], sizes_s[lo:hi]) - pos - 1
         u = rows[np.repeat(pos, later)]
         v = rows[_members(pos + 1, later)]
-        idx = base[np.minimum(u, v)] + np.maximum(u, v)
-        if out is None:
-            out = np.bincount(idx, weights=np.ones(idx.size), minlength=npairs)
-        else:
-            np.add.at(out, idx, 1.0)
-    if out is None:
-        out = np.zeros(npairs, dtype=np.float64)
+        np.add.at(out, base[np.minimum(u, v)] + np.maximum(u, v), 1.0)
     big = np.flatnonzero(sizes >= split)
     width = max(1, _BLOCK_ENTRIES // p)
     for a in range(0, big.size, width):

@@ -15,31 +15,27 @@ constructions once per position, which stay as the slow oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from dynsketch.core import Permutation, ValidationError, _as_positions, _check_rank_dim
+from dynsketch.core import Permutation, ValidationError, _as_positions, _check_rank_dim, _Value
 
 
-@dataclass(frozen=True)
-class PermutationSeed:
+class PermutationSeed(_Value):
     """Deterministic seed for one of the K sketch permutations.
 
     The same (seed, index, dimension) triple always yields the identical
     permutation, which keeps sketches comparable across runs.
     """
 
-    seed: int
-    index: int = 0
+    _args = ("seed", "index")
+    _key = _args
 
-    def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+    def __init__(self, seed: int, index: int = 0):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValidationError("seed must be a non-negative integer")
-        if not isinstance(self.index, (int, np.integer)) or self.index < 0:
+        if not isinstance(index, (int, np.integer)) or index < 0:
             raise ValidationError("index must be a non-negative integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "index", int(self.index))
+        self._own(seed=int(seed), index=int(index))
 
 
 def random_permutation(d: int, seed: PermutationSeed) -> Permutation:

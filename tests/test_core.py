@@ -20,6 +20,7 @@ from dynsketch.core import (
     pack_supports,
     EMPTY,
 )
+from dynsketch.permgen import PermutationSeed
 from _reference import delete_features_bisect, insert_features_bisect
 
 
@@ -449,6 +450,8 @@ VALUES = {
     "edited-vector": delete_features(SparseBinaryVector(6, (1, 2, 5)), DeletionBatch((2,))),
     "pack": pack_supports([SparseBinaryVector(5, (1, 4)), SparseBinaryVector(5)]),
     "checked-pack": SupportPack(2, 5, [0, 3], [2, 0]),
+    "seed": PermutationSeed(1),
+    "indexed-seed": PermutationSeed(np.int64(2**40), index=np.uint8(3)),
 }
 
 ARRAYS = {
@@ -458,6 +461,7 @@ ARRAYS = {
     Permutation: lambda p: (p.rank, p.inverse),
     SparseBinaryVector: lambda v: (v.support_index(),),
     SupportPack: lambda pack: (pack.flat, pack.lengths, pack.starts),
+    PermutationSeed: lambda seed: (),
 }
 
 
@@ -486,6 +490,7 @@ FIELDS = {
     Permutation: ("rank", "dim", "inverse"),
     SparseBinaryVector: ("dim", "support"),
     SupportPack: ("count", "dim", "flat", "lengths", "starts"),
+    PermutationSeed: ("seed", "index"),
 }
 
 

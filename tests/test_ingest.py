@@ -8,6 +8,7 @@ import tracemalloc
 import zlib
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -432,6 +433,17 @@ class TestSampleCorpus:
         a = sample_corpus(corpus, 2, seed=5)
         b = sample_corpus(corpus, 2, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 5, 7, 2**100])
+    def test_sampling_shares_no_stream_with_a_permutation(self, seed):
+        # Permutation i draws from SeedSequence([seed, i]), as do the bench
+        # streams 11, 13, 17 and 19; one document per word tells the picks.
+        dim = 200
+        corpus = Corpus(dim, dim, tuple(SparseBinaryVector(dim, (w,)) for w in range(1, dim + 1)))
+        picked = [v.support[0] - 1 for v in sample_corpus(corpus, 20, seed).vectors]
+        for index in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+            assert picked != np.sort(rng.choice(dim, size=20, replace=False)).tolist()
 
     def test_sampled_vectors_keep_dimension(self):
         sampled = sample_corpus(self._corpus(), 3, seed=2)

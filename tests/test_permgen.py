@@ -50,6 +50,16 @@ class TestRandomPermutation:
         with pytest.raises(ValidationError):
             PermutationSeed(0, -2)
 
+    def test_seed_compares_hashes_and_prints_as_its_fields(self):
+        a, b = PermutationSeed(1), PermutationSeed(seed=np.int64(1), index=np.uint8(0))
+        assert a == b and hash(a) == hash(b) == hash((1, 0))
+        assert repr(b) == "PermutationSeed(seed=1, index=0)" and type(b.seed) is int
+        assert a != PermutationSeed(1, 1) and a != (1, 0)
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer$"):
+            PermutationSeed(1.0)
+        with pytest.raises(ValidationError, match="^index must be a non-negative integer$"):
+            PermutationSeed(1, "0")
+
     def test_first_slot_rank_is_uniform(self):
         # Pr[rank of slot 1 == 1] should be 1/32 across many seeds.
         trials = 100_000
