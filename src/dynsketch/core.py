@@ -398,10 +398,14 @@ def insert_features(vector: SparseBinaryVector, batch: InsertionBatch) -> Sparse
     batch.validate_for_dim(vector.dim)
     dim = _edit_dim(vector.dim + len(batch))
     support = vector.support_index()
-    support = support + np.searchsorted(batch.position_array, support, side="right")
+    # The method form skips np.searchsorted's dispatch; its fresh result
+    # takes the shift in place.
+    shifted = batch.position_array.searchsorted(support, "right")
+    shifted += support
     if batch.landed_ones.size:
-        support = np.sort(np.concatenate((support, batch.landed_ones)))
-    return SparseBinaryVector._from_valid(dim, support)
+        shifted = np.concatenate((shifted, batch.landed_ones))
+        shifted.sort()
+    return SparseBinaryVector._from_valid(dim, shifted)
 
 
 def delete_features(vector: SparseBinaryVector, batch: DeletionBatch) -> SparseBinaryVector:
@@ -411,10 +415,11 @@ def delete_features(vector: SparseBinaryVector, batch: DeletionBatch) -> SparseB
     _edit_dim(vector.dim)
     positions = batch.position_array
     support = vector.support_index()
-    below = np.searchsorted(positions, support)
+    below = positions.searchsorted(support)
     # A support element above every position clips to the last one and is kept.
     kept = positions.take(below, mode="clip") != support
-    return SparseBinaryVector._from_valid(vector.dim - len(batch), (support - below)[kept])
+    shifted = np.subtract(support, below, out=below)
+    return SparseBinaryVector._from_valid(vector.dim - len(batch), shifted[kept])
 
 
 def _segment_starts(sizes: np.ndarray) -> np.ndarray:

@@ -24,7 +24,9 @@ class PermutationSeed(_Value):
     """Deterministic seed for one of the K sketch permutations.
 
     The same (seed, index, dimension) triple always yields the identical
-    permutation, which keeps sketches comparable across runs.
+    permutation, which keeps sketches comparable across runs, and unequal
+    seeds give unequal streams. The seed must be below 2**64 and the index
+    below 2**32.
     """
 
     _args = ("seed", "index")
@@ -35,20 +37,40 @@ class PermutationSeed(_Value):
             raise ValidationError("seed must be a non-negative integer")
         if not isinstance(index, (int, np.integer)) or index < 0:
             raise ValidationError("index must be a non-negative integer")
+        if seed >= 2**64:
+            raise ValidationError(f"seed {seed} must be below 2**64")
+        if index >= 2**32:
+            raise ValidationError(f"index {index} must be below 2**32")
         self._own(seed=int(seed), index=int(index))
+
+    def _entropy(self) -> list[int]:
+        """The ``SeedSequence`` entropy of this pair, which no other pair gives.
+
+        numpy splits each int into 32-bit words, joins them and pads the list
+        with zero words up to 4. So ``[seed, index]`` names a pair alone,
+        unless the seed takes two words and the index is 0: then its words
+        ``[seed_lo, seed_hi, 0]`` pad to those of
+        ``PermutationSeed(seed_lo, seed_hi)``. Only that pair is spelt apart,
+        as ``[seed_lo, seed_hi, 0, 1]``, whose last word no shorter list has;
+        every other stream stays as it was.
+        """
+        if self.seed >= 2**32 and self.index == 0:
+            return [self.seed % 2**32, self.seed >> 32, 0, 1]
+        return [self.seed, self.index]
 
 
 def random_permutation(d: int, seed: PermutationSeed) -> Permutation:
     """A uniformly random bijection on {1..d}, deterministic under the seed.
 
     Uses numpy's seeded Generator (a Fisher-Yates shuffle underneath) keyed
-    by the (seed, index) pair. The shuffle runs on numpy's int64 path, which
-    fixes the order for a seed; the ranks are narrowed to int32 as 1 is added.
+    by the entropy of the (seed, index) pair. The shuffle runs on numpy's
+    int64 path, which fixes the order for a seed; the ranks are narrowed to
+    int32 as 1 is added.
     """
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     _check_rank_dim(d)
-    rng = np.random.default_rng(np.random.SeedSequence([seed.seed, seed.index]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed._entropy()))
     rank = np.empty(d, dtype=np.int32)
     np.add(rng.permutation(d), 1, out=rank, casting="same_kind")
     return Permutation._from_valid(rank)
@@ -111,8 +133,9 @@ def _count_below(dim: int, base: np.ndarray) -> np.ndarray:
     """
     cuts = np.empty(base.size + 2, dtype=np.int64)
     cuts[0], cuts[-1] = -1, dim + 1
-    cuts[1:-1] = np.sort(base)
-    return np.repeat(np.arange(base.size + 1, dtype=np.int32), np.diff(cuts))
+    cuts[1:-1] = base
+    cuts[1:-1].sort()
+    return np.repeat(np.arange(base.size + 1, dtype=np.int32), cuts[1:] - cuts[:-1])
 
 
 def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
@@ -124,14 +147,21 @@ def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
     ``positions[i] + i`` with rank w_i + #{w < w_i}.
     """
     slots = _batch_slots(pi, positions)
-    _check_rank_dim(pi.dim + slots.size)
+    size = pi.dim + slots.size
+    _check_rank_dim(size)
     base = pi.rank[slots]
     below = _count_below(pi.dim, base)
     # take, not fancy indexing: about half the time with int32 indices.
-    rank = below[1:].take(pi.rank)  # #{w <= r}
-    rank += pi.rank
-    # np.insert puts value i before old slot i, i.e. at slot positions[i] + i.
-    rank = np.insert(rank, slots, base + below[base])
+    shifted = below[1:].take(pi.rank)  # #{w <= r}
+    shifted += pi.rank
+    # Inserted element i lands at slot positions[i] + i; the old ranks fill
+    # the other slots in order.
+    landed = slots + np.arange(slots.size)
+    keep = np.ones(size, dtype=bool)
+    keep[landed] = False
+    rank = np.empty(size, dtype=np.int32)
+    rank[keep] = shifted
+    rank[landed] = base + below[base]
     return Permutation._from_valid(rank)
 
 
@@ -144,6 +174,8 @@ def multiple_drop_perm(pi: Permutation, positions) -> Permutation:
     """
     slots = _batch_slots(pi, positions)
     below = _count_below(pi.dim, pi.rank[slots])
-    rank = np.delete(pi.rank, slots)
+    keep = np.ones(pi.dim, dtype=bool)
+    keep[slots] = False
+    rank = pi.rank[keep]
     rank -= below.take(rank)
     return Permutation._from_valid(rank)

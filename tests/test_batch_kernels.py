@@ -17,7 +17,12 @@ whose hashes all lie below its batch ranks, a deleted rank equal to a
 column's largest hash, K=1, all-EMPTY rows, no permutations at all), a unit
 test checks the table's codes against their definition, and
 the size rule keeps 1-row calls on the search and bounds the memory of
-tables over large dimensions. ``row_to_sketch`` takes a
+tables over large dimensions. The delete kernel's rescan gathers supports in
+chunks: every class that runs it, or the folds, runs again with the chunk
+budget at 1 entry, fixed cases cover a support larger than the budget, a hit
+emptied in a later chunk and chunks across many columns, and a late-stream
+rescan of 12.8M support entries stays within a memory bound.
+``row_to_sketch`` takes a
 kernel row without per-value checks; it is checked against the ``Sketch``
 constructor, and any other row keeps the constructor's messages. A
 ``SupportPack`` checks its invariant once, when it is built: every malformed
@@ -71,7 +76,8 @@ from dynsketch.sketch import (
     update_sketch_insert,
 )
 
-from _back_ends import BACK_ENDS, count_back_end
+from _back_ends import BACK_ENDS, count_back_end, rescan_budget
+from _back_ends import one_entry_rescan_chunks  # noqa: F401 (a fixture)
 from _reference import min_rank_brute, pack_supports_tuples
 
 
@@ -1066,3 +1072,122 @@ class TestPackSupports:
         truth = zip(engine.pairwise_true_jaccard(checked), engine.pairwise_true_jaccard(trusted))
         for got, want in truth:
             assert np.array_equal(got, want)
+
+
+# The delete kernel's rescan in chunks. Small cases fit the default budget's
+# one chunk, so every class that runs the delete kernel or the folds runs
+# again with the budget at 1 entry, where every hit with a support is a chunk.
+
+
+@pytest.mark.usefixtures("one_entry_rescan_chunks")
+class TestDropHashMatrixInOneEntryChunks(TestDropHashMatrix):
+    pass
+
+
+@pytest.mark.usefixtures("one_entry_rescan_chunks")
+class TestSequentialFoldsInOneEntryChunks(TestSequentialFolds):
+    pass
+
+
+@pytest.mark.usefixtures("one_entry_rescan_chunks")
+class TestInt32RanksInt64OutputsInOneEntryChunks(TestInt32RanksInt64Outputs):
+    pass
+
+
+@pytest.mark.usefixtures("one_entry_rescan_chunks")
+class TestCountFrontEdgesInOneEntryChunks(TestCountFrontEdges):
+    pass
+
+
+@pytest.mark.usefixtures("one_entry_rescan_chunks")
+class TestSketchWrappersInOneEntryChunks(TestSketchWrappers):
+    pass
+
+
+def chunked_delete(h, points, perms, batch, budget, back_end):
+    """The delete kernel under a rescan budget, checked against the per-slot
+    rule and re-sketching; returns the result and each chunk's columns and
+    gathered entry count."""
+    pack = engine.pack_supports(points)
+    spy = patch.object(sketch, "_surviving_minima", wraps=sketch._surviving_minima)
+    with count_back_end(back_end), rescan_budget(budget), spy as chunks:
+        got = drop_hash_matrix(h, perms, batch, pack)
+    assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
+    assert np.array_equal(got, resketch(points, perms, delete_features, multiple_drop_perm, batch))
+    return got, [(set(c.args[1].tolist()), int(c.args[2].sum())) for c in chunks.call_args_list]
+
+
+# Columns 0 and 1 rank position i as i and 7 - i. Deleting positions 1 and 2
+# deletes point 0's minimum in column 0 (4 support entries to rescan) and
+# point 1's in both columns (2 entries each), which leaves point 1 EMPTY.
+CHUNK_PERMS = [Permutation([1, 2, 3, 4, 5, 6]), Permutation([6, 5, 4, 3, 2, 1])]
+CHUNK_POINTS = [SparseBinaryVector(6, (1, 3, 4, 5)), SparseBinaryVector(6, (1, 2))]
+
+
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+class TestRescanChunks:
+    @staticmethod
+    def delete_positions_1_and_2(budget, back_end):
+        h = min_hash_matrix(CHUNK_PERMS, engine.pack_supports(CHUNK_POINTS))
+        return chunked_delete(h, CHUNK_POINTS, CHUNK_PERMS, DeletionBatch((1, 2)), budget, back_end)
+
+    def test_row_whose_support_alone_exceeds_the_budget(self, back_end):
+        _, chunks = self.delete_positions_1_and_2(3, back_end)
+        assert chunks == [({0}, 4), ({0}, 2), ({1}, 2)]
+
+    def test_hit_emptied_in_a_later_chunk(self, back_end):
+        got, chunks = self.delete_positions_1_and_2(4, back_end)
+        assert chunks == [({0}, 4), ({0, 1}, 4)]
+        assert got[0].all() and not got[1].any()
+
+    def test_every_hit_in_one_chunk_at_the_default_budget(self, back_end):
+        _, chunks = self.delete_positions_1_and_2(sketch._RESCAN_BLOCK_ENTRIES, back_end)
+        assert chunks == [({0, 1}, 8)]
+
+    def test_hits_spread_across_many_columns(self, back_end):
+        rng = np.random.default_rng(12)
+        dim, k = 40, 24
+        perms = [random_permutation(dim, PermutationSeed(12, j)) for j in range(k)]
+        points = random_points(rng, dim, [0, 1, 3, 9, 20, 40] * 4)
+        h = min_hash_matrix(perms, engine.pack_supports(points))
+        batch = DeletionBatch(tuple(range(1, dim + 1, 3)))
+        _, chunks = chunked_delete(h, points, perms, batch, 50, back_end)
+        assert len(set().union(*(cols for cols, _ in chunks))) > k // 2
+        assert len(chunks) > 2 and any(len(cols) > 1 for cols, _ in chunks)
+        assert all(entries <= 50 or len(cols) == 1 for cols, entries in chunks)
+
+
+def test_late_stream_rescan_stays_within_its_budget():
+    # A stream whose points converge ends up sharing features. Here all 500
+    # points hold 800 features, one of which is every column's minimum, so
+    # deleting it rescans all 16,000 slots: 12.8M support entries. Gathered
+    # at once they peaked at 423 MB traced; in chunks of the default budget,
+    # at about 3 MB.
+    dim, p, k, size = 20_000, 500, 32, 800
+    rng = np.random.default_rng(20)
+    shared = 7
+    perms = []
+    for j in range(k):
+        rank = random_permutation(dim, PermutationSeed(20, j)).rank.copy()
+        first = int(np.flatnonzero(rank == 1)[0])
+        rank[[first, shared - 1]] = rank[[shared - 1, first]]
+        perms.append(Permutation(rank))
+    others = np.setdiff1d(np.arange(1, dim + 1), [shared])
+    points = []
+    for _ in range(p):
+        support = np.append(rng.choice(others, size - 1, replace=False), shared)
+        points.append(SparseBinaryVector(dim, tuple(np.sort(support).tolist())))
+    pack = engine.pack_supports(points)
+    h = min_hash_matrix(perms, pack)
+    assert (h == 1).all()
+    batch = DeletionBatch((shared,))
+    tracemalloc.start()
+    try:
+        got = drop_hash_matrix(h, perms, batch, pack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    dropped = [multiple_drop_perm(perm, batch.positions) for perm in perms]
+    edited = engine.pack_supports([delete_features(x, batch) for x in points])
+    assert np.array_equal(got, min_hash_matrix(dropped, edited))

@@ -279,6 +279,36 @@ class TestDeleteFeatures:
         assert out.support == ()
 
 
+def input_arrays(*values):
+    """Every array field of the given vectors and batches."""
+    return [a for v in values for a in vars(v).values() if isinstance(a, np.ndarray)]
+
+
+class TestEditsOwnTheirOutput:
+    """The edits build their result in fresh arrays: it shares no memory with
+    the vector or the batch, which stay as they were."""
+
+    @pytest.mark.parametrize(
+        "edit, batch",
+        [
+            (insert_features, InsertionBatch((1, 5, 9), (0, 0, 0))),
+            (insert_features, InsertionBatch((1, 5, 9), (1, 1, 1))),
+            (insert_features, InsertionBatch(tuple(range(1, 10)), (1,) * 9)),
+            (delete_features, DeletionBatch((2, 3, 6))),
+            (delete_features, DeletionBatch(tuple(range(1, 10)))),
+        ],
+        ids=["no-1-bits", "all-1-bits", "every-slot-a-1-bit", "removes-nothing", "every-position"],
+    )
+    @pytest.mark.parametrize("support", [(1, 4, 5, 9), ()], ids=["support", "empty"])
+    def test_result_shares_no_memory_with_its_inputs(self, edit, batch, support):
+        vector = SparseBinaryVector(9, support)
+        before = [a.copy() for a in input_arrays(vector, batch)]
+        out = edit(vector, batch)
+        assert not any(np.shares_memory(out.support_index(), a) for a in input_arrays(vector, batch))
+        assert all(np.array_equal(a, b) for a, b in zip(input_arrays(vector, batch), before))
+        assert out == edit(SparseBinaryVector(9, support), batch)
+
+
 @st.composite
 def vector_and_insertion(draw, max_dim=64):
     dim = draw(st.integers(min_value=1, max_value=max_dim))

@@ -200,6 +200,30 @@ class TestMultipleDropPerm:
             multiple_lift_perm(perm, ())
 
 
+class TestLineageMapsOwnTheirOutput:
+    """The lineage maps build their ranks in fresh arrays: the result shares
+    no memory with the permutation, which stays as it was."""
+
+    PERM = Permutation([6, 3, 1, 7, 2, 5, 4])
+
+    @pytest.mark.parametrize(
+        "carry, positions",
+        [
+            (multiple_lift_perm, (2, 4)),
+            (multiple_lift_perm, tuple(range(1, 8))),
+            (multiple_drop_perm, (7,)),
+            (multiple_drop_perm, tuple(range(1, 8))),
+        ],
+        ids=["lift", "lift-every-slot", "drop-one", "drop-every-slot"],
+    )
+    def test_result_shares_no_memory_with_its_input(self, carry, positions):
+        rank = self.PERM.rank.copy()
+        out = carry(self.PERM, positions)
+        assert not np.shares_memory(out.rank, self.PERM.rank)
+        assert np.array_equal(self.PERM.rank, rank)
+        assert out == carry(Permutation(rank), positions)
+
+
 def _fold_loops(step, perm, slots):
     rank = list(perm.as_tuple())
     for slot in slots:
@@ -418,3 +442,56 @@ class TestSeedContract:
         assert rank.dtype == np.int32
         # The digests were taken over int64 ranks; widening pins the same values.
         assert hashlib.sha256(rank.astype(np.int64).tobytes()).hexdigest() == digest
+
+
+class TestSeedsNameOneStream:
+    """Unequal seeds draw unequal permutations. numpy pads a short entropy
+    list with zero words and splits every int into 32-bit words, which the
+    seed's entropy must not let two pairs share."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((5 + 3 * 2**32, 0), (5, 3)), ((5 + 7 * 2**32, 3), (5, 7 + 3 * 2**32))],
+        ids=["seed-high-word-against-index", "seed-and-index-words-swapped"],
+    )
+    def test_pairs_whose_words_coincide_draw_apart(self, a, b):
+        # A pair may be refused; two that are accepted must draw apart.
+        ranks = []
+        for seed, index in (a, b):
+            try:
+                ranks.append(random_permutation(50, PermutationSeed(seed, index)).rank)
+            except ValidationError:
+                assert index >= 2**32
+        assert len(ranks) < 2 or not np.array_equal(*ranks)
+
+    @staticmethod
+    def state(seed, index):
+        return np.random.SeedSequence(PermutationSeed(seed, index)._entropy()).generate_state(4)
+
+    @given(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)),
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)),
+    )
+    @settings(max_examples=200)
+    def test_unequal_pairs_give_unequal_entropy(self, a, b):
+        assert (a == b) == np.array_equal(self.state(*a), self.state(*b))
+
+    @given(st.integers(2**32, 2**64 - 1))
+    @settings(max_examples=200)
+    def test_a_two_word_seed_at_index_0_stays_apart_from_its_words(self, seed):
+        assert not np.array_equal(self.state(seed, 0), self.state(seed % 2**32, seed >> 32))
+
+    @pytest.mark.parametrize(
+        "seed, index",
+        [(0, 0), (2**32 - 1, 2**32 - 1), (7, 3), (5 + 3 * 2**32, 1), (2**64 - 1, 2**32 - 1)],
+    )
+    def test_every_pair_but_a_two_word_seed_at_index_0_keeps_its_stream(self, seed, index):
+        legacy = np.random.default_rng(np.random.SeedSequence([seed, index])).permutation(40) + 1
+        assert np.array_equal(random_permutation(40, PermutationSeed(seed, index)).rank, legacy)
+
+    def test_seeds_past_64_bits_and_indices_past_32_are_refused(self):
+        PermutationSeed(2**64 - 1, 2**32 - 1)
+        with pytest.raises(ValidationError, match=r"^seed 18446744073709551616 must be below 2\*\*64$"):
+            PermutationSeed(2**64)
+        with pytest.raises(ValidationError, match=r"^index 4294967296 must be below 2\*\*32$"):
+            PermutationSeed(0, 2**32)

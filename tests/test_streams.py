@@ -8,7 +8,8 @@ edited points under the carried permutations, slot for slot. Seeded streams
 run fixed scenarios; ``MixedStream`` lets hypothesis choose the batches, and
 runs once under each of the kernels' count back-ends. The permutations a
 stream carries must also stay minwise uniform, which one test measures over
-many independently seeded lineages.
+many independently seeded lineages. ``MixedStream`` runs once more with the
+delete kernel's rescan cut into chunks of one hit.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ from dynsketch.permgen import (
 )
 from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, min_hash_matrix
 
-from _back_ends import BACK_ENDS, count_back_end
+from _back_ends import BACK_ENDS, count_back_end, rescan_budget
 
 # Criterion 5's tolerance for lifted permutations (tests/test_acceptance.py).
 LIFT_UNIFORMITY_TOLERANCE = 0.02
@@ -210,9 +211,16 @@ class MixedStream(RuleBasedStateMachine):
         assert not self.stream.h.any()
 
 
+MIXED_STREAM_SETTINGS = settings(max_examples=60, stateful_step_count=12, deadline=None)
+
+
 @pytest.mark.parametrize("back_end", BACK_ENDS)
 def test_mixed_stream(back_end):
     with count_back_end(back_end):
-        run_state_machine_as_test(
-            MixedStream, settings=settings(max_examples=60, stateful_step_count=12, deadline=None)
-        )
+        run_state_machine_as_test(MixedStream, settings=MIXED_STREAM_SETTINGS)
+
+
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+def test_mixed_stream_in_one_entry_rescan_chunks(back_end):
+    with count_back_end(back_end), rescan_budget(1):
+        run_state_machine_as_test(MixedStream, settings=MIXED_STREAM_SETTINGS)
