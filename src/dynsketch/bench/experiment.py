@@ -212,10 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     include = ~both_empty
     results = []
     for n, _, epack, _ in sizes:
-        if epack.dim > 0:
-            post_truth, post_empty = engine.pairwise_true_jaccard(epack)
-        else:
-            post_truth, post_empty = truth * 0.0, np.ones_like(both_empty)
+        post_truth, post_empty = engine.pairwise_true_jaccard(epack)
         include_post = ~post_empty
         scratch_times = timings.get(("scratch", n))
         for path in (p for p in PATHS if p in cfg.paths):

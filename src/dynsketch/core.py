@@ -50,6 +50,27 @@ def _check_rank_dim(dim: int) -> None:
         )
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int; a float, string or other non-integer is
+    refused rather than truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _is_bit(value) -> bool:
+    """Whether ``value`` is an integer or boolean 0 or 1."""
+    return isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1)
+
+
+def _as_position(position, dim: int) -> int:
+    """Coerce and check one 1-based position of a dimension-``dim`` frame."""
+    position = _as_int(position, "position")
+    if not 1 <= position <= dim:
+        raise ValidationError(f"position {position} out of range 1..{dim}")
+    return position
+
+
 def _as_positions(
     positions, what: str = "position", plural: str = "positions"
 ) -> tuple[int, ...]:
@@ -57,9 +78,7 @@ def _as_positions(
     out = []
     prev = 0
     for p in positions:
-        if not isinstance(p, (int, np.integer)):
-            raise ValidationError(f"{what} {p!r} is not an integer")
-        p = int(p)
+        p = _as_int(p, what)
         if p <= prev:
             if p < 1:
                 raise ValidationError(f"{what} {p} must be at least 1")
@@ -135,7 +154,7 @@ class SparseBinaryVector(_Value):
     _key = ("dim", "_index")
 
     def __init__(self, dim: int, support=()):
-        dim = int(dim)
+        dim = _as_int(dim, "dimension")
         if dim < 0:
             raise ValidationError("dimension must be non-negative")
         support = _as_positions(support, "support index", "support indices")
@@ -237,9 +256,7 @@ class Permutation(_Value):
 
     def value_at(self, position: int) -> int:
         """The rank assigned to a 1-based position."""
-        if not 1 <= position <= self.dim:
-            raise ValidationError(f"position {position} out of range 1..{self.dim}")
-        return int(self.rank[position - 1])
+        return int(self.rank[_as_position(position, self.dim) - 1])
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -345,7 +362,7 @@ class InsertionBatch(_Batch):
             raise ValidationError("batch must contain at least one position")
         if len(bits) != len(positions):
             raise ValidationError("positions and bits must have equal length")
-        if not all(isinstance(b, (int, np.integer, np.bool_)) and b in (0, 1) for b in bits):
+        if not all(map(_is_bit, bits)):
             raise ValidationError("bits must be 0 or 1")
         bits = tuple(map(int, bits))
         landed = tuple(m + i for i, (m, b) in enumerate(zip(positions, bits)) if b == 1)
@@ -457,7 +474,7 @@ class SupportPack(_Value):
     def __init__(self, count: int, dim: int, flat, lengths):
         """``flat`` holds all 0-based supports concatenated, ``lengths`` the
         per-point support sizes."""
-        count, dim = int(count), int(dim)
+        count, dim = _as_int(count, "point count"), _as_int(dim, "dimension")
         if dim < 0:
             raise ValidationError("dimension must be non-negative")
         flat = _int64_copy(flat, "packed support entries must be integers")

@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from dynsketch.core import Permutation, ValidationError, _as_positions, _check_rank_dim, _Value
+from dynsketch.core import (
+    Permutation,
+    ValidationError,
+    _as_position,
+    _as_positions,
+    _check_rank_dim,
+    _Value,
+)
 
 
 class PermutationSeed(_Value):
@@ -83,8 +90,7 @@ def lift_perm(pi: Permutation, position: int) -> Permutation:
     or above it moves up by one, so the relative order of the original
     elements is unchanged and the output is a bijection on {1..dim+1}.
     """
-    if not 1 <= position <= pi.dim:
-        raise ValidationError(f"position {position} out of range 1..{pi.dim}")
+    position = _as_position(position, pi.dim)
     _check_rank_dim(pi.dim + 1)
     rank = pi.rank
     taken = rank[position - 1]
@@ -104,8 +110,7 @@ def drop_perm(pi: Permutation, position: int) -> Permutation:
     one, yielding a bijection on {1..dim-1}. Exact left inverse of
     :func:`lift_perm` at the same position.
     """
-    if not 1 <= position <= pi.dim:
-        raise ValidationError(f"position {position} out of range 1..{pi.dim}")
+    position = _as_position(position, pi.dim)
     rank = pi.rank
     removed = rank[position - 1]
     out = np.concatenate([rank[: position - 1], rank[position:]])

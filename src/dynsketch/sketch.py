@@ -50,6 +50,9 @@ from dynsketch.core import (
     SupportPack,
     ValidationError,
     _as_hash,
+    _as_int,
+    _as_position,
+    _is_bit,
     _members,
     _segment_starts,
     pack_supports,
@@ -129,9 +132,9 @@ def lift_hash(old_hash: HashValue, inserted_rank: int, bit: int) -> HashValue:
     becomes the new minimum and an inserted 0 just shifts the old minimum up
     by one. An EMPTY hash stays EMPTY unless the inserted bit is 1.
     """
-    if bit not in (0, 1):
+    if not _is_bit(bit):
         raise ValidationError("bit must be 0 or 1")
-    inserted_rank = int(inserted_rank)
+    inserted_rank = _as_int(inserted_rank, "inserted rank")
     if inserted_rank < 1:
         raise ValidationError("inserted rank must be at least 1")
     old_hash = _as_hash(old_hash)
@@ -196,12 +199,11 @@ def drop_hash(
     """
     if vector.dim != pi.dim:
         raise _dim_mismatch(vector.dim, pi.dim)
-    if not 1 <= position <= vector.dim:
-        raise ValidationError(f"position {position} out of range 1..{vector.dim}")
+    position = _as_position(position, vector.dim)
     old_hash = _as_hash(old_hash)
     if old_hash is EMPTY:
         return EMPTY
-    deleted_rank = pi.value_at(position)
+    deleted_rank = int(pi.rank[position - 1])
     if old_hash < deleted_rank:
         return old_hash
     if old_hash > deleted_rank:
@@ -260,8 +262,6 @@ _TABLE_MIN_ROWS = 64
 # The search holds the query, its index and the output or, for a deletion,
 # the gathered neighbours at once: about 3 int64 per slot.
 _TABLE_ENTRIES_PER_SLOT = 16
-
-_NO_SURVIVOR = np.iinfo(np.int64).max
 
 # Support entries that one chunk of a deletion's rescan gathers at a time. A
 # chunk holds at least one hit, so a row whose support alone is larger is a
@@ -480,40 +480,27 @@ def _drop(h, cur, base, gone, perms, pack: SupportPack) -> np.ndarray:
     rows, cols = rows[order], cols[order]
     seg_len = pack.lengths[rows]
     ends = seg_len.cumsum()
-    if ends[-1] <= _RESCAN_BLOCK_ENTRIES:
-        best = _surviving_minima(rows, cols, seg_len, gone, perms, pack)
-    else:
-        # Chunks of hits gather at most the budget of entries each, except
-        # a chunk of one hit whose support alone exceeds it.
-        parts = []
-        a = 0
-        while a < rows.size:
-            b = int(ends.searchsorted(ends[a] - seg_len[a] + _RESCAN_BLOCK_ENTRIES, "right"))
-            b = max(b, a + 1)
-            parts.append(
-                _surviving_minima(rows[a:b], cols[a:b], seg_len[a:b], gone, perms, pack)
-            )
-            a = b
-        best = np.concatenate(parts)
-    # r - #{w < r} rises with r over surviving ranks, so the smallest
-    # survivor v, slid down by its column's deleted ranks below it, is the
-    # new minimum. Support and base ranks lie in 1..dim, so lifting by dim
-    # keeps the columns apart.
-    kept = best != _NO_SURVIVOR
-    v, v_cols = best[kept], cols[kept]
+    # Support and base ranks lie in 1..dim, so lifting by dim keeps the
+    # columns apart.
     lifted, offsets = _lifted_ranks(base, pack.dim)
-    v -= np.searchsorted(lifted, v + offsets[v_cols], side="left") - v_cols * base.shape[1]
-    best[kept] = v
-    best[~kept] = 0
-    out[rows, cols] = best
+    a = 0
+    while a < rows.size:
+        b = int(ends.searchsorted(ends[a] - seg_len[a] + _RESCAN_BLOCK_ENTRIES, "right"))
+        b = max(b, a + 1)
+        out[rows[a:b], cols[a:b]] = _rescanned_hashes(
+            rows[a:b], cols[a:b], seg_len[a:b], gone, perms, pack, lifted, offsets
+        )
+        a = b
     return out
 
 
-def _surviving_minima(rows, cols, seg_len, gone, perms, pack: SupportPack) -> np.ndarray:
-    """Each hit's smallest support rank in its column whose position is not
-    among the sorted 0-based positions ``gone``, or ``_NO_SURVIVOR``; the
-    hits are sorted by column, and row ``rows[i]``'s support has
-    ``seg_len[i]`` entries."""
+def _rescanned_hashes(rows, cols, seg_len, gone, perms, pack, lifted, offsets) -> np.ndarray:
+    """Each hit's new hash in its column: the smallest support rank whose
+    position is not among the sorted 0-based positions ``gone``, slid down
+    by the column's deleted ranks below it, or 0 (EMPTY) when none
+    survives. The hits are sorted by column, row ``rows[i]``'s support has
+    ``seg_len[i]`` entries, and ``lifted, offsets`` are the deleted base
+    ranks lifted by :func:`_lifted_ranks` over ``pack.dim``."""
     # Gather every hit row's support, one segment per hit.
     seg_start = _segment_starts(seg_len)
     positions = pack.flat[_members(pack.starts[rows], seg_len)]
@@ -525,13 +512,22 @@ def _surviving_minima(rows, cols, seg_len, gone, perms, pack: SupportPack) -> np
         perms[j].rank.take(positions[a:b], out=ranks[a:b], mode="clip")  # entries < dim
     ranks = ranks.astype(np.int64)
     # A support rank was deleted exactly when its position was, in every
-    # column: one search of the positions among the few deleted ones.
+    # column: one search of the positions among the few deleted ones. It
+    # then reads dim + 1, above every support rank, as does a hit with no
+    # support.
+    none = pack.dim + 1
     at = np.searchsorted(gone, positions)
-    ranks[gone.take(at, mode="clip") == positions] = _NO_SURVIVOR
-    best = np.full(rows.size, _NO_SURVIVOR, dtype=np.int64)
+    ranks[gone.take(at, mode="clip") == positions] = none
+    best = np.full(rows.size, none, dtype=np.int64)
     some = seg_len > 0
     if some.any():
         best[some] = np.minimum.reduceat(ranks, seg_start[some])
+    # r - #{w < r} rises with r over surviving ranks, so the smallest
+    # survivor v, slid down by its column's n deleted ranks below it, is the
+    # new minimum, at most dim - n. dim + 1 slides past all n, to dim + 1 - n.
+    n = lifted.size // offsets.size
+    best -= np.searchsorted(lifted, best + offsets[cols], side="left") - cols * n
+    best[best > pack.dim - n] = 0
     return best
 
 

@@ -39,13 +39,16 @@ from dynsketch.sketch import (
     multiple_drop_hash,
     multiple_lift_hash,
 )
-from dynsketch.bench import ExperimentConfig, run_experiment
+from dynsketch.bench import ExperimentConfig, engine, run_experiment, synthetic_corpus
+from dynsketch.bench.workload import draw_insertion_plan
 
 TRIALS = 10_000
 UNIFORMITY_TRIALS = 200_000
 DROP_UNIFORMITY_TOLERANCE = 0.01
 LIFT_UNIFORMITY_TOLERANCE = 0.02
 RMSE_PARITY_RELATIVE_BAND = 0.15
+FRESH_DRAWS = 16
+RMSE_PARITY_SIGMAS = 3.0
 SPEEDUP_FLOOR = 5.0
 SEQUENTIAL_GROWTH_FLOOR = 4.0
 BATCH_GROWTH_CEILING = 2.0
@@ -300,6 +303,44 @@ def test_criterion_7_rmse_parity_against_fresh_baseline():
         f"updated-sketch RMSE {updated:.5f} vs fresh-permutation baseline "
         f"{baseline:.5f} ({relative:.1%} relative, band "
         f"{RMSE_PARITY_RELATIVE_BAND:.0%}, {elapsed:.0f}s < 300s)",
+    )
+
+
+def test_criterion_7_lineage_rmse_within_the_spread_of_fresh_draws():
+    # One fresh draw's rmse spreads with its seed, so this compares the
+    # lineage rmse with criterion 7's corpus re-sketched under several.
+    start = perf_counter()
+    dim, support, points, k, n, seed = 7000, 450, 200, 400, 50, 707
+    config = ExperimentConfig(
+        mode="insert",
+        num_perms=k,
+        n_features=(n,),
+        insert_one_prob=0.1,
+        master_seed=seed,
+        synthetic=(dim, support, points),
+        paths=("batch",),
+        scratch_perms="lineage",
+        repetitions=1,
+    )
+    lineage = run_experiment(config).results[0].rmse
+    corpus = synthetic_corpus(dim, support, points, seed)
+    batch = draw_insertion_plan(dim, n, config.insert_one_prob, seed).workload(n).batch
+    truth, both_empty = engine.pairwise_true_jaccard(engine.pack_supports(corpus.vectors))
+    epack = engine.pack_supports([insert_features(v, batch) for v in corpus.vectors])
+    fresh = []
+    for s in range(FRESH_DRAWS):
+        perms = [random_permutation(epack.dim, PermutationSeed(s, i)) for i in range(k)]
+        estimates = engine.pairwise_estimates(engine.sketch_matrix(epack, perms))
+        fresh.append(engine.rmse_condensed(estimates, truth, ~both_empty))
+    mean, sd = float(np.mean(fresh)), float(np.std(fresh, ddof=1))
+    z = (lineage - mean) / sd
+    elapsed = perf_counter() - start
+    _report(
+        7,
+        abs(z) <= RMSE_PARITY_SIGMAS and elapsed < 300.0,
+        f"updated-sketch RMSE {lineage:.5f} vs {FRESH_DRAWS} fresh draws "
+        f"{min(fresh):.5f}-{max(fresh):.5f}, mean {mean:.5f}, sd {sd:.5f} "
+        f"(z = {z:+.2f}, band {RMSE_PARITY_SIGMAS:g} sd, {elapsed:.0f}s < 300s)",
     )
 
 

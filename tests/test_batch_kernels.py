@@ -1109,7 +1109,7 @@ def chunked_delete(h, points, perms, batch, budget, back_end):
     rule and re-sketching; returns the result and each chunk's columns and
     gathered entry count."""
     pack = engine.pack_supports(points)
-    spy = patch.object(sketch, "_surviving_minima", wraps=sketch._surviving_minima)
+    spy = patch.object(sketch, "_rescanned_hashes", wraps=sketch._rescanned_hashes)
     with count_back_end(back_end), rescan_budget(budget), spy as chunks:
         got = drop_hash_matrix(h, perms, batch, pack)
     assert np.array_equal(got, per_slot_delete(h, points, perms, batch))

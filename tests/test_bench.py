@@ -405,6 +405,14 @@ class TestExperimentRunner:
         digests = {r.path: r.sketch_digest for r in report.results}
         assert digests["sequential"] == digests["batch"] == digests["scratch"]
 
+    def test_delete_every_feature_under_lineage(self):
+        # Every path's sketch is all EMPTY, and no pair is left to score.
+        report = run_experiment(tiny_config("delete", synthetic=(12, 3, 6), n_features=(12,)))
+        empty = engine.sketch_digest(np.zeros((6, 12), dtype=np.int64))
+        digests = {r.path: r.sketch_digest for r in report.results}
+        assert digests == dict.fromkeys(("sequential", "batch", "scratch"), empty)
+        assert all(math.isnan(r.rmse_post) for r in report.results)
+
     def test_one_workload_checksum_per_batch_size(self):
         report = run_experiment(tiny_config("insert", n_features=(2, 4)))
         assert set(report.workload_checksums) == {2, 4}

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from dynsketch.core import (
     pack_supports,
     EMPTY,
 )
-from dynsketch.permgen import PermutationSeed
+from dynsketch.permgen import PermutationSeed, drop_perm, lift_perm
+from dynsketch.sketch import drop_hash, lift_hash
 from _reference import delete_features_bisect, insert_features_bisect
 
 
@@ -535,3 +537,66 @@ def test_value_types_refuse_rebinding(value):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert repr(value) == before
+
+
+# One check behind every scalar position (core._as_position): a float or a
+# string is refused with the message a position sequence gives, not indexed.
+PERM_5 = Permutation([3, 1, 4, 5, 2])
+SCALAR_POSITION_TAKERS = {
+    "value_at": lambda position: PERM_5.value_at(position),
+    "lift_perm": lambda position: lift_perm(PERM_5, position),
+    "drop_perm": lambda position: drop_perm(PERM_5, position),
+    "drop_hash": lambda position: drop_hash(2, SparseBinaryVector(5, (1, 5)), PERM_5, position),
+}
+
+
+@pytest.mark.parametrize(
+    "take", list(SCALAR_POSITION_TAKERS.values()), ids=list(SCALAR_POSITION_TAKERS)
+)
+class TestScalarPosition:
+    @pytest.mark.parametrize("position", [5.0, "5"])
+    def test_refuses_a_non_integer(self, take, position):
+        message = re.escape(f"position {position!r} is not an integer")
+        with pytest.raises(ValidationError, match=message):
+            take(position)
+
+    @pytest.mark.parametrize("position", [0, 6])
+    def test_refuses_a_position_out_of_range(self, take, position):
+        with pytest.raises(ValidationError, match=f"position {position} out of range 1..5"):
+            take(position)
+
+    def test_accepts_a_numpy_integer(self, take):
+        assert take(np.int64(5)) == take(5)
+
+
+class TestScalarIntegers:
+    """Scalar integer arguments are refused, not truncated, when they are
+    not integers; bits follow ``InsertionBatch``'s rule."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: lift_hash(3, 2.5, 1), "inserted rank 2.5 is not an integer"),
+            (lambda: lift_hash(3, "2", 1), "inserted rank '2' is not an integer"),
+            (lambda: lift_hash(3, 2, 1.0), "bit must be 0 or 1"),
+            (lambda: lift_hash(3, 2, "1"), "bit must be 0 or 1"),
+            (lambda: SparseBinaryVector(5.7, (1,)), "dimension 5.7 is not an integer"),
+            (lambda: SparseBinaryVector("5", (1,)), "dimension '5' is not an integer"),
+            (lambda: SupportPack(1, 5.0, [0], [1]), "dimension 5.0 is not an integer"),
+            (lambda: SupportPack(1.0, 5, [0], [1]), "point count 1.0 is not an integer"),
+        ],
+        ids=[
+            "float-rank", "str-rank", "float-bit", "str-bit",
+            "float-dim", "str-dim", "pack-float-dim", "pack-float-count",
+        ],
+    )
+    def test_refuses_a_non_integer(self, call, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
+
+    def test_numpy_integers_and_bools_pass(self):
+        assert lift_hash(3, np.int64(2), np.int64(1)) == 2
+        assert lift_hash(3, np.int64(2), np.bool_(True)) == 2
+        assert lift_hash(3, 2, np.bool_(False)) == 4
+        assert SparseBinaryVector(np.int64(5), (1,)) == SparseBinaryVector(5, (1,))
+        assert SupportPack(np.int64(1), np.int64(5), [0], [1]) == SupportPack(1, 5, [0], [1])
