@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 validation problem, 2 I/O or malformed input.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -37,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("DYNSKETCH_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"DYNSKETCH_THREADS={raw!r} is not an integer"
-        ) from None
 
 
 def _parse_synthetic(text: str) -> tuple[int, int, int]:
@@ -98,7 +87,7 @@ def _add_experiment_flags(sub):
         help="scratch baseline: fresh permutations (default) or lifted/dropped lineage",
     )
     sub.add_argument("--reps", type=int, default=5, help="timed repetitions (after one warm-up)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (default $DYNSKETCH_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     sub.add_argument("--format", choices=("csv", "human"), default="csv")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -145,7 +134,7 @@ def _experiment_command(args) -> str:
         paths=tuple(p.strip() for p in args.paths.split(",") if p.strip()),
         scratch_perms=args.scratch_perms,
         repetitions=args.reps,
-        threads=args.threads if args.threads is not None else _default_threads(),
+        threads=args.threads,
         data=args.data,
         synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
         sample_size=args.sample,

@@ -28,7 +28,7 @@ from time import perf_counter
 
 import numpy as np
 
-from dynsketch.core import ValidationError, delete_features, insert_features
+from dynsketch.core import ValidationError, _as_int, delete_features, insert_features
 from dynsketch.ingest import Corpus, load_docword, sample_corpus
 from dynsketch.permgen import (
     PermutationSeed,
@@ -51,8 +51,9 @@ _SEED_MASK = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Checked when built; ``n_features`` is stored sorted and deduplicated,
-    ``paths`` deduplicated in the given order."""
+    """Checked when built; every integer field is stored as a Python int,
+    ``n_features`` sorted and deduplicated, ``paths`` deduplicated in the
+    given order."""
 
     mode: str
     num_perms: int = 500
@@ -70,9 +71,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
+        for name in ("num_perms", "master_seed", "repetitions", "threads"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        if self.synthetic is not None:
+            synthetic = tuple(_as_int(v, "synthetic") for v in self.synthetic)
+            object.__setattr__(self, "synthetic", synthetic)
+        if self.sample_size is not None:
+            object.__setattr__(self, "sample_size", _as_int(self.sample_size, "sample_size"))
         if self.num_perms < 1:
             raise ValidationError("num_perms must be at least 1")
-        ns = tuple(sorted({int(n) for n in self.n_features}))
+        ns = tuple(sorted({_as_int(n, "batch size") for n in self.n_features}))
         if not ns or ns[0] < 1:
             raise ValidationError("n_features must contain positive batch sizes")
         if not 0.0 <= self.insert_one_prob <= 1.0:

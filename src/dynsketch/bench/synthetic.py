@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dynsketch.core import SparseBinaryVector, ValidationError
+from dynsketch.core import SparseBinaryVector, ValidationError, _as_int
 from dynsketch.ingest import Corpus
 
 # The corpus stream, SeedSequence([seed, 11]), is also the stream of
@@ -15,15 +15,15 @@ _SYNTHETIC_STREAM = 11
 
 def synthetic_corpus(dim: int, support_size: int, num_points: int, seed: int) -> Corpus:
     """Points with supports sampled uniformly without replacement at a fixed size."""
-    if dim < 1:
+    if _as_int(dim, "dimension") < 1:
         raise ValidationError("dimension must be at least 1")
-    if not 0 <= support_size <= dim:
+    if not 0 <= _as_int(support_size, "support size") <= dim:
         raise ValidationError(
             f"support size {support_size} out of range 0..{dim}"
         )
-    if num_points < 1:
+    if _as_int(num_points, "point count") < 1:
         raise ValidationError("need at least one point")
-    if seed < 0:
+    if _as_int(seed, "seed") < 0:
         raise ValidationError("seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SYNTHETIC_STREAM]))
     vectors = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynsketch.core import DeletionBatch, InsertionBatch, ValidationError
+from dynsketch.core import DeletionBatch, InsertionBatch, ValidationError, _as_int
 
 # The workload stream, SeedSequence([seed, 13]), is also the stream of
 # permutation 13 under the same master seed. It stays, as the benchmark's
@@ -39,7 +39,7 @@ class WorkloadPlan:
     bits: tuple[int, ...]       # aligned with positions; all 0 for deletions
 
     def workload(self, n: int) -> Workload:
-        if not 1 <= n <= len(self.positions):
+        if not 1 <= _as_int(n, "batch size") <= len(self.positions):
             raise ValidationError(
                 f"batch size {n} out of range 1..{len(self.positions)}"
             )
@@ -92,9 +92,9 @@ def draw_deletion_plan(dim: int, max_n: int, seed: int) -> WorkloadPlan:
 
 
 def _check(dim: int, max_n: int, seed: int) -> None:
-    if dim < 1:
+    if _as_int(dim, "dimension") < 1:
         raise ValidationError("dimension must be at least 1")
-    if not 1 <= max_n <= dim:
+    if not 1 <= _as_int(max_n, "batch size") <= dim:
         raise ValidationError(f"batch size {max_n} out of range 1..{dim}")
-    if seed < 0:
+    if _as_int(seed, "seed") < 0:
         raise ValidationError("seed must be non-negative")

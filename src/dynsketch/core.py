@@ -168,7 +168,7 @@ class SparseBinaryVector(_Value):
     def from_dense(cls, bits) -> "SparseBinaryVector":
         """Build from a dense 0/1 sequence, e.g. [1, 0, 0, 1]."""
         bits = list(bits)
-        if any(b not in (0, 1) for b in bits):
+        if not all(map(_is_bit, bits)):
             raise ValidationError("dense entries must be 0 or 1")
         return cls(len(bits), tuple(i + 1 for i, b in enumerate(bits) if b == 1))
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynsketch.core import (
-    Permutation, Sketch, SparseBinaryVector, SupportPack, ValidationError, _members, pack_supports
+    Permutation, Sketch, SparseBinaryVector, SupportPack, ValidationError, _as_int, _members,
+    pack_supports,
 )
 
 
@@ -229,10 +230,10 @@ def minwise_uniformity_test(perm_source, support_set, trials: int) -> Uniformity
     reports the raw frequencies and the largest absolute deviation, leaving
     any pass/fail thresholding to the caller.
     """
-    elements = tuple(sorted({int(u) for u in support_set}))
+    elements = tuple(sorted({_as_int(u, "support element") for u in support_set}))
     if len(elements) <= 1:
         raise ValidationError("support set must contain at least two elements")
-    if trials < 10 * len(elements) ** 2:
+    if _as_int(trials, "trials") < 10 * len(elements) ** 2:
         raise ValidationError(
             f"need at least {10 * len(elements) ** 2} trials for a set of "
             f"{len(elements)} elements"

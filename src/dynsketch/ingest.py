@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynsketch.core import SparseBinaryVector, ValidationError
+from dynsketch.core import _INT64_MAX, SparseBinaryVector, ValidationError, _as_int
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -33,7 +33,6 @@ _TEXT_BYTES = b"0123456789 \t\r\n"
 _MAX_DIGITS = 18
 # deflate expands one compressed byte to at most this many.
 _DEFLATE_MAX_RATIO = 1032
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ParseError(ValueError):
@@ -49,10 +48,11 @@ class Corpus:
     vectors: tuple[SparseBinaryVector, ...]
 
     def __post_init__(self):
-        if len(self.vectors) != self.num_docs:
+        if len(self.vectors) != _as_int(self.num_docs, "num_docs"):
             raise ValidationError(
                 f"corpus has {len(self.vectors)} vectors but num_docs={self.num_docs}"
             )
+        _as_int(self.vocab_size, "vocab_size")
         for v in self.vectors:
             if v.dim != self.vocab_size:
                 raise ValidationError(
@@ -309,7 +309,7 @@ def write_docword(corpus: Corpus, stream) -> None:
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
     """Uniform sample of n documents without replacement, in document order."""
-    if n < 1:
+    if _as_int(n, "sample size") < 1:
         raise ValidationError("sample size must be at least 1")
     if n > corpus.num_docs:
         raise ValidationError(
@@ -317,7 +317,7 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
         )
     # Entropy ending in two zero words, which no [seed, i] list assembles
     # to: sampling shares no stream with a permutation or a bench stream.
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
+    rng = np.random.default_rng(np.random.SeedSequence(_as_int(seed, "seed"), spawn_key=(0, 0)))
     chosen = np.sort(rng.choice(corpus.num_docs, size=n, replace=False))
     return Corpus(
         num_docs=n,

@@ -20,6 +20,7 @@ import numpy as np
 from dynsketch.core import (
     Permutation,
     ValidationError,
+    _as_int,
     _as_position,
     _as_positions,
     _check_rank_dim,
@@ -40,15 +41,16 @@ class PermutationSeed(_Value):
     _key = _args
 
     def __init__(self, seed: int, index: int = 0):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        seed, index = _as_int(seed, "seed"), _as_int(index, "index")
+        if seed < 0:
             raise ValidationError("seed must be a non-negative integer")
-        if not isinstance(index, (int, np.integer)) or index < 0:
+        if index < 0:
             raise ValidationError("index must be a non-negative integer")
         if seed >= 2**64:
             raise ValidationError(f"seed {seed} must be below 2**64")
         if index >= 2**32:
             raise ValidationError(f"index {index} must be below 2**32")
-        self._own(seed=int(seed), index=int(index))
+        self._own(seed=seed, index=index)
 
     def _entropy(self) -> list[int]:
         """The ``SeedSequence`` entropy of this pair, which no other pair gives.
@@ -74,7 +76,7 @@ def random_permutation(d: int, seed: PermutationSeed) -> Permutation:
     int64 path, which fixes the order for a seed; the ranks are narrowed to
     int32 as 1 is added.
     """
-    if d < 1:
+    if _as_int(d, "dimension") < 1:
         raise ValidationError("dimension must be at least 1")
     _check_rank_dim(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed._entropy()))

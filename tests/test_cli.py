@@ -103,26 +103,9 @@ class TestInsertDeleteCommands:
         assert code == 2
         assert "error:" in err
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("DYNSKETCH_THREADS", "not-a-number")
-        code, _, err = run_cli(
-            ["insert", "--synthetic", "30,5,8", "--paths", "batch", "--reps", "1"],
-            capsys,
-        )
-        assert code == 1
-        monkeypatch.setenv("DYNSKETCH_THREADS", "2")
-        code, out, _ = run_cli(
-            [
-                "insert",
-                "--synthetic", "30,5,8",
-                "--num-perms", "4",
-                "--n", "2",
-                "--paths", "batch",
-                "--reps", "1",
-            ],
-            capsys,
-        )
-        assert code == 0
+    def test_threads_default_is_one(self):
+        for mode in ("insert", "delete"):
+            assert build_parser().parse_args([mode, "--synthetic", "30,5,8"]).threads == 1
 
 
 class TestParseCheck:

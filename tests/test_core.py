@@ -21,8 +21,13 @@ from dynsketch.core import (
     pack_supports,
     EMPTY,
 )
-from dynsketch.permgen import PermutationSeed, drop_perm, lift_perm
+from dynsketch.estimate import minwise_uniformity_test
+from dynsketch.ingest import Corpus, sample_corpus
+from dynsketch.permgen import PermutationSeed, drop_perm, lift_perm, random_permutation
 from dynsketch.sketch import drop_hash, lift_hash
+from dynsketch.bench.experiment import ExperimentConfig, run_experiment
+from dynsketch.bench.synthetic import synthetic_corpus
+from dynsketch.bench.workload import draw_deletion_plan, draw_insertion_plan
 from _reference import delete_features_bisect, insert_features_bisect
 
 
@@ -584,10 +589,101 @@ class TestScalarIntegers:
             (lambda: SparseBinaryVector("5", (1,)), "dimension '5' is not an integer"),
             (lambda: SupportPack(1, 5.0, [0], [1]), "dimension 5.0 is not an integer"),
             (lambda: SupportPack(1.0, 5, [0], [1]), "point count 1.0 is not an integer"),
+            (lambda: PermutationSeed(2.5), "seed 2.5 is not an integer"),
+            (lambda: PermutationSeed(1, "5"), "index '5' is not an integer"),
+            (lambda: random_permutation(2.5, PermutationSeed(1)), "dimension 2.5 is not an integer"),
+            (lambda: random_permutation("5", PermutationSeed(1)), "dimension '5' is not an integer"),
+            (lambda: SparseBinaryVector.from_dense([1.0, 0, True]), "dense entries must be 0 or 1"),
+            (lambda: SparseBinaryVector.from_dense([0, np.float64(1)]), "dense entries must be 0 or 1"),
+            (
+                lambda: Corpus(num_docs=1.0, vocab_size=5.0, vectors=(SparseBinaryVector(5),)),
+                "num_docs 1.0 is not an integer",
+            ),
+            (
+                lambda: Corpus(num_docs=1, vocab_size=5.0, vectors=(SparseBinaryVector(5),)),
+                "vocab_size 5.0 is not an integer",
+            ),
+            (
+                lambda: Corpus(num_docs=1, vocab_size="5", vectors=(SparseBinaryVector(5),)),
+                "vocab_size '5' is not an integer",
+            ),
+            (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 2.5, 0), "sample size 2.5 is not an integer"),
+            (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 2, "5"), "seed '5' is not an integer"),
+            (
+                lambda: minwise_uniformity_test(
+                    lambda t: random_permutation(8, PermutationSeed(0, t)), {1.5, 2.7, 4}, 1000
+                ),
+                "support element 1.5 is not an integer",
+            ),
+            (
+                lambda: minwise_uniformity_test(
+                    lambda t: random_permutation(8, PermutationSeed(0, t)), {1, 4}, 1000.0
+                ),
+                "trials 1000.0 is not an integer",
+            ),
+            (
+                lambda: minwise_uniformity_test(
+                    lambda t: random_permutation(8, PermutationSeed(0, t)), {1, 4}, "1000"
+                ),
+                "trials '1000' is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", num_perms=2.5, synthetic=(10, 3, 3)),
+                "num_perms 2.5 is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", num_perms=np.float64(4), synthetic=(10, 3, 3)),
+                f"num_perms {np.float64(4)!r} is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", n_features=(2.5,), synthetic=(10, 3, 3)),
+                "batch size 2.5 is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", master_seed="5", synthetic=(10, 3, 3)),
+                "master_seed '5' is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", repetitions=2.5, synthetic=(10, 3, 3)),
+                "repetitions 2.5 is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", threads="5", synthetic=(10, 3, 3)),
+                "threads '5' is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10.5, 3, 3)),
+                "synthetic 10.5 is not an integer",
+            ),
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), sample_size=2.5),
+                "sample_size 2.5 is not an integer",
+            ),
+            (lambda: synthetic_corpus(20.5, 3, 4, 0), "dimension 20.5 is not an integer"),
+            (lambda: synthetic_corpus(20, 3.0, 4, 0), "support size 3.0 is not an integer"),
+            (lambda: synthetic_corpus(20, 3, 4.5, 0), "point count 4.5 is not an integer"),
+            (lambda: synthetic_corpus(20, 3, 4, "5"), "seed '5' is not an integer"),
+            (lambda: draw_deletion_plan(50.0, 8, 0), "dimension 50.0 is not an integer"),
+            (lambda: draw_insertion_plan(50, 8.5, 0.5, 0), "batch size 8.5 is not an integer"),
+            (lambda: draw_deletion_plan(50, 8, "5"), "seed '5' is not an integer"),
+            (lambda: draw_deletion_plan(50, 8, 0).workload(2.5), "batch size 2.5 is not an integer"),
+            (lambda: draw_deletion_plan(50, 8, 0).workload("5"), "batch size '5' is not an integer"),
         ],
         ids=[
             "float-rank", "str-rank", "float-bit", "str-bit",
             "float-dim", "str-dim", "pack-float-dim", "pack-float-count",
+            "seed-float", "seed-str-index", "perm-float-dim", "perm-str-dim",
+            "dense-float-bit", "dense-npfloat-bit",
+            "corpus-float-docs", "corpus-float-vocab", "corpus-str-vocab",
+            "sample-float-n", "sample-str-seed",
+            "uniformity-float-set", "uniformity-float-trials", "uniformity-str-trials",
+            "config-float-perms", "config-npfloat-perms", "config-float-n", "config-str-seed",
+            "config-float-reps", "config-str-threads", "config-float-synthetic",
+            "config-float-sample",
+            "synthetic-float-dim", "synthetic-float-support", "synthetic-float-points",
+            "synthetic-str-seed",
+            "plan-float-dim", "plan-float-n", "plan-str-seed",
+            "workload-float-n", "workload-str-n",
         ],
     )
     def test_refuses_a_non_integer(self, call, message):
@@ -600,3 +696,28 @@ class TestScalarIntegers:
         assert lift_hash(3, 2, np.bool_(False)) == 4
         assert SparseBinaryVector(np.int64(5), (1,)) == SparseBinaryVector(5, (1,))
         assert SupportPack(np.int64(1), np.int64(5), [0], [1]) == SupportPack(1, 5, [0], [1])
+        i64 = np.int64
+        assert PermutationSeed(i64(2), i64(3)) == PermutationSeed(2, 3)
+        assert random_permutation(i64(9), PermutationSeed(2)) == random_permutation(9, PermutationSeed(2))
+        assert SparseBinaryVector.from_dense([i64(1), 0, np.bool_(True)]) == vec(1, 0, 1)
+        one = (SparseBinaryVector(5, (2,)),)
+        assert Corpus(num_docs=i64(1), vocab_size=i64(5), vectors=one) == Corpus(1, 5, one)
+        corpus = synthetic_corpus(10, 2, 5, 0)
+        assert sample_corpus(corpus, i64(3), i64(7)) == sample_corpus(corpus, 3, 7)
+        perms = lambda t: random_permutation(8, PermutationSeed(0, t))
+        assert minwise_uniformity_test(perms, {i64(1), i64(4)}, i64(100)) == minwise_uniformity_test(
+            perms, {1, 4}, 100
+        )
+        config = ExperimentConfig(
+            "insert", i64(4), (i64(2),), master_seed=i64(3), repetitions=i64(1), threads=i64(1),
+            synthetic=(i64(30), i64(5), i64(8)), sample_size=i64(6),
+        )
+        assert config == ExperimentConfig(
+            "insert", 4, (2,), master_seed=3, repetitions=1, threads=1, synthetic=(30, 5, 8),
+            sample_size=6,
+        )
+        assert type(config.master_seed) is int and run_experiment(config).results
+        assert synthetic_corpus(i64(20), i64(3), i64(4), i64(1)) == synthetic_corpus(20, 3, 4, 1)
+        plan = draw_insertion_plan(i64(50), i64(8), 0.5, i64(3))
+        assert plan == draw_insertion_plan(50, 8, 0.5, 3)
+        assert plan.workload(i64(4)) == plan.workload(4)

@@ -11,8 +11,9 @@ is the root of a dynsketch checkout, which holds ``perfbench/`` and
 
 For every metric on the last output line (the end-to-end metrics, or the
 per-layer ones with ``--trace 1``) the summary gives both sides' per-run
-values, quartiles and medians, the ratio of the medians, and in how many
-pairs the after side was better, in the direction ``BENCHMARK.json`` gives.
+values, quartiles and medians, the ratio of the medians, in how many pairs
+the after side was better, in the direction ``BENCHMARK.json`` gives, and a
+``verdict`` (see :func:`verdict`).
 It also lists each run's ``attempted`` operation count, which a workload
 whose operations grow heavier through a run (stream-mixed) needs beside its
 metrics, its failed operations, and whether every run read the same input
@@ -54,14 +55,41 @@ def quartiles(values) -> list[float]:
     return [round(float(q), 4) for q in np.percentile(values, [25, 50, 75])]
 
 
-def summarise(before: list[dict], after: list[dict], directions: dict) -> dict:
-    """Per metric: both sides' values, quartiles, median ratio and the pairs
-    the after side won."""
+def verdict(b: list[float], a: list[float], wins: int, lower: bool, bound: float | None) -> str:
+    """The metric's verdict on before values ``b`` and after values ``a``,
+    of which the after side won ``wins`` pairs.
+
+    "better": the after side won at least 9/10 of the pairs (ties count for
+    neither), and its median beats the before median by more than the before
+    side's q3 - q1. "worse": the after median is worse than the before median
+    by more than ``bound``, a share of the before median. "unresolved": the
+    before side's q3 - q1 is wider than ``bound`` times its median, unless
+    every after run beats every before run. "level": any other case. A
+    per-layer metric has no bound, so it is "better" or "level".
+    """
+    q1, mb, q3 = np.percentile(b, [25, 50, 75])
+    gain = (mb - np.median(a)) * (1 if lower else -1)
+    if 10 * wins >= 9 * len(b) and gain > q3 - q1:
+        return "better"
+    if bound is None:
+        return "level"
+    if -gain > bound * mb:
+        return "worse"
+    all_beat = max(a) < min(b) if lower else min(a) > max(b)
+    if q3 - q1 > bound * mb and not all_beat:
+        return "unresolved"
+    return "level"
+
+
+def summarise(before: list[dict], after: list[dict], spec: dict) -> dict:
+    """Per metric: both sides' values, quartiles, median ratio, the pairs
+    the after side won and the verdict. ``spec`` maps each metric's name to
+    its entry in ``BENCHMARK.json``."""
     out = {}
     for name in before[0]["metrics"]:
         b = [r["metrics"][name]["value"] for r in before]
         a = [r["metrics"][name]["value"] for r in after]
-        lower = directions.get(name, "lower") == "lower"
+        lower = spec[name]["better"] == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, a))
         mb, ma = float(np.median(b)), float(np.median(a))
         out[name] = {
@@ -73,6 +101,7 @@ def summarise(before: list[dict], after: list[dict], directions: dict) -> dict:
             "after_q1_median_q3": quartiles(a),
             "after_over_before": round(ma / mb, 4) if mb else None,
             "after_better_pairs": f"{wins}/{len(b)}",
+            "verdict": verdict(b, a, wins, lower, spec[name].get("bound")),
         }
     return out
 
@@ -92,7 +121,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be positive")
 
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     runs = {"before": [], "after": []}
     for i in range(args.pairs):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
@@ -118,7 +147,7 @@ def main(argv=None) -> int:
         "failed_before": sum(r["failed"] for r in before),
         "failed_after": sum(r["failed"] for r in after),
         "inputs_match": len({r["inputs_sha256"] for r in before + after}) == 1,
-        "metrics": summarise(before, after, directions),
+        "metrics": summarise(before, after, metrics),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
