@@ -38,7 +38,8 @@ HashValue = int | _EmptyHash
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# The largest permutation dimension: ranks 1..dim are stored as int32.
+# The largest permutation dimension: ranks 1..dim, and so every hash, are
+# stored as int32.
 _RANK_MAX = 2**31 - 1
 
 
@@ -280,9 +281,10 @@ def _as_hash(value) -> HashValue:
         v = int(value)
         if v < 1:
             raise ValidationError(f"hash value {v} must be at least 1 or EMPTY")
-        if v > _INT64_MAX:
+        if v > _RANK_MAX:
+            # A hash is a rank, and no permutation has a larger one.
             raise ValidationError(
-                f"hash value {v} exceeds {_INT64_MAX}, the largest a sketch takes"
+                f"hash value {v} exceeds {_RANK_MAX}, the largest a sketch takes"
             )
         return v
     raise ValidationError(f"{value!r} is not a hash value")
@@ -291,7 +293,7 @@ def _as_hash(value) -> HashValue:
 class Sketch(_Value):
     """K minwise hash values for one point, entry j taken under permutation j.
 
-    The sketch holds them once, as ``row``: a read-only int64 hash-matrix row
+    The sketch holds them once, as ``row``: a read-only int32 hash-matrix row
     with 0 for EMPTY. ``values`` is that row as a tuple of Python ints with
     EMPTY for 0, built on each read.
     """
@@ -303,7 +305,7 @@ class Sketch(_Value):
         values = [_as_hash(v) for v in values]
         if not values:
             raise ValidationError("a sketch needs at least one slot")
-        self._own(row=np.array([0 if v is EMPTY else v for v in values], dtype=np.int64))
+        self._own(row=np.array([0 if v is EMPTY else v for v in values], dtype=np.int32))
 
     @classmethod
     def _from_row(cls, row: np.ndarray) -> "Sketch":
@@ -311,7 +313,7 @@ class Sketch(_Value):
         skipping the per-value checks.
 
         For :func:`dynsketch.sketch.row_to_sketch` only: ``row`` is a fresh
-        non-empty 1-D int64 array with no negative entry. The array is made
+        non-empty 1-D int32 array with no negative entry. The array is made
         read-only and becomes ``row``.
         """
         sketch = object.__new__(cls)

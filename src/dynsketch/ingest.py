@@ -315,9 +315,12 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
         raise ValidationError(
             f"sample size {n} exceeds corpus size {corpus.num_docs}"
         )
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     # Entropy ending in two zero words, which no [seed, i] list assembles
     # to: sampling shares no stream with a permutation or a bench stream.
-    rng = np.random.default_rng(np.random.SeedSequence(_as_int(seed, "seed"), spawn_key=(0, 0)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     chosen = np.sort(rng.choice(corpus.num_docs, size=n, replace=False))
     return Corpus(
         num_docs=n,

@@ -10,15 +10,15 @@ materializing that permutation. The lifted/dropped constructions in
 are the scalar API and the tests' independent reference. Whole sketches and
 hash matrices go through one kernel per operation, :func:`min_hash_matrix`,
 :func:`lift_hash_matrix` and :func:`drop_hash_matrix`, on a (points x
-permutations) int64 matrix with 0 for EMPTY, over a ``SupportPack``;
-:func:`build_sketch`, :func:`update_sketch_insert` and
-:func:`update_sketch_delete` are 1-row calls on ``Sketch.row``. A
-``SupportPack`` is checked once, when it is built, so the kernels trust its
-layout and check only its ``count`` and ``dim`` against their other
-arguments. An update kernel checks its inputs and gathers the batch ranks in
-one front, then runs a private rule body on ranks in the matrix's frame; the
-sequential paths of :mod:`dynsketch.bench.engine` fold the same bodies one
-entry at a time.
+permutations) int32 matrix with 0 for EMPTY, over a ``SupportPack``: a hash
+is a rank, and ranks are int32. :func:`build_sketch`,
+:func:`update_sketch_insert` and :func:`update_sketch_delete` are 1-row
+calls on ``Sketch.row``, which is such a row. A ``SupportPack`` is checked
+once, when it is built, so the kernels trust its layout and check only its
+``count`` and ``dim`` against their other arguments. An update kernel checks its inputs and gathers the int32 batch
+ranks in one front, then runs a private rule body on ranks in the matrix's
+frame, every pass over the matrix in int32; the sequential paths of
+:mod:`dynsketch.bench.engine` fold the same bodies one entry at a time.
 
 Both rule bodies shift every slot by its column's count #{w <= r} of batch
 ranks at or below its hash r, a step function of r with n steps. The count
@@ -27,18 +27,19 @@ size rule (:func:`_step_windows`). The step table stores each column's
 codes 2 * #{w <= r} + [r in W] over the ranks between its smallest batch
 rank and its largest hash, in the narrowest unsigned dtype, and every slot
 reads its shift and, for a deletion, its hit bit with one narrow gather.
-The search lifts every column's hashes and sorted ranks apart and looks all
-slots up, column by column, in one ``np.searchsorted``. The table serves
-matrices of at least ``_TABLE_MIN_ROWS`` rows whose tables hold at most
-``_TABLE_ENTRIES_PER_SLOT`` entries per slot; the search serves the rest,
-such as the sketch-level wrappers' 1-row calls and hashes spread over a
-large dimension.
+The search lifts every column's hashes and sorted ranks apart, in int64,
+and looks all slots up, column by column, in one ``np.searchsorted``. The
+table serves matrices of at least ``_TABLE_MIN_ROWS`` rows whose tables hold
+at most ``_TABLE_ENTRIES_PER_SLOT`` entries per slot; the search serves the
+rest, such as the sketch-level wrappers' 1-row calls and hashes spread over
+a large dimension.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dynsketch import core
 from dynsketch.core import (
     EMPTY,
     HashValue,
@@ -52,6 +53,7 @@ from dynsketch.core import (
     _as_hash,
     _as_int,
     _as_position,
+    _check_rank_dim,
     _is_bit,
     _members,
     _segment_starts,
@@ -88,13 +90,13 @@ def min_hash_matrix(perms, pack: SupportPack) -> np.ndarray:
 
     Blocks of permutations gather their int32 ranks at the packed positions
     into one reused int32 buffer, and one ``reduceat`` per block takes every
-    point's minimum under each of them, widened once into the int64 result.
+    point's minimum under each of them, straight into the int32 result.
     """
     perms = list(perms)
     for p in perms:
         if p.dim != pack.dim:
             raise _dim_mismatch(pack.dim, p.dim)
-    out = np.zeros((pack.count, len(perms)), dtype=np.int64)
+    out = np.zeros((pack.count, len(perms)), dtype=np.int32)
     if not pack.flat.size:
         return out
     # take copies a read-only index array on every call, so copy the pack's
@@ -262,6 +264,8 @@ _TABLE_MIN_ROWS = 64
 # The search holds the query, its index and the output or, for a deletion,
 # the gathered neighbours at once: about 3 int64 per slot.
 _TABLE_ENTRIES_PER_SLOT = 16
+# A table also stays within int32 indices, which the slots read it by.
+_TABLE_ENTRIES_MAX = np.iinfo(np.int32).max
 
 # Support entries that one chunk of a deletion's rescan gathers at a time. A
 # chunk holds at least one hit, so a row whose support alone is larger is a
@@ -274,31 +278,37 @@ _RESCAN_BLOCK_ENTRIES = 1 << 16
 
 
 def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray:
-    """The kernels' front: the (K, n) base ranks of the batch positions, row k
-    under ``perms[k]``, gathered as int32 and widened once to int64.
+    """The kernels' front: the (K, n) int32 base ranks of the batch
+    positions, row k under ``perms[k]``.
 
-    Checks first that ``h`` is a 2-D int64 array (its shape and dtype, not
+    Checks first that ``h`` is a 2-D int32 array (its shape and dtype, not
     its values) with one column per permutation (and one row per point of
     ``pack``), then each permutation in turn, in the per-slot rules' order:
-    that it has the pack's dimension, then that the batch fits it.
+    that it has the pack's dimension, that the batch fits it, and, for an
+    insertion, that the widened frame still fits int32 ranks, so that no
+    lifted hash can wrap.
     """
-    if not isinstance(h, np.ndarray) or h.ndim != 2 or h.dtype != np.int64:
-        raise ValidationError("hash matrix must be a 2-D int64 array")
+    if not isinstance(h, np.ndarray) or h.ndim != 2 or h.dtype != np.int32:
+        raise ValidationError("hash matrix must be a 2-D int32 array")
     if h.shape[1] != len(perms):
         raise ValidationError(f"sketch has {h.shape[1]} slots but {len(perms)} permutations given")
     if pack is not None and h.shape[0] != pack.count:
         raise ValidationError(f"hash matrix has {h.shape[0]} rows but {pack.count} packed points")
     idx = batch.position_array - 1
     last = batch.positions[-1]
+    grow = len(batch) if isinstance(batch, InsertionBatch) else 0
+    widest = core._RANK_MAX - grow  # the largest dimension the batch leaves in range
     ranks = np.empty((len(perms), len(batch)), dtype=np.int32)
     for k, p in enumerate(perms):
         if pack is not None and p.dim != pack.dim:
             raise _dim_mismatch(pack.dim, p.dim)
         if last > p.dim:
             batch.validate_for_dim(p.dim)
+        if p.dim > widest:
+            _check_rank_dim(p.dim + grow)
         # The positions fit p, so clipping never moves one.
         p.rank.take(idx, out=ranks[k], mode="clip")
-    return ranks.astype(np.int64)
+    return ranks
 
 
 def _lifted_ranks(w_sorted: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,14 +346,17 @@ def _step_windows(h, w):
     Column j's table covers ranks ``w[j, 0] - 1 .. min(max h[:, j], w[j, -1] + 1)``
     (at least one entry): a hash below it counts 0 and one above it n. The
     table pays only from ``_TABLE_MIN_ROWS`` rows, and only while its entries
-    number at most ``_TABLE_ENTRIES_PER_SLOT`` per slot of ``h``.
+    number at most ``_TABLE_ENTRIES_PER_SLOT`` per slot of ``h`` and at most
+    ``_TABLE_ENTRIES_MAX`` in all. The windows are int64, as ``w[j, -1] + 1``
+    may pass the largest rank; each bound is a rank or a hash, so it fits
+    ``h``'s dtype.
     """
     if h.shape[0] < _TABLE_MIN_ROWS:
         return None
-    lo = w[:, 0] - 1
-    hi = np.minimum(h.max(axis=0, initial=0), w[:, -1] + 1)
+    lo = w[:, 0].astype(np.int64) - 1
+    hi = np.minimum(h.max(axis=0, initial=0), w[:, -1].astype(np.int64) + 1)
     np.maximum(hi, lo, out=hi)
-    if int((hi - lo + 1).sum()) > _TABLE_ENTRIES_PER_SLOT * h.size:
+    if int((hi - lo + 1).sum()) > min(_TABLE_ENTRIES_PER_SLOT * h.size, _TABLE_ENTRIES_MAX):
         return None
     return lo, hi
 
@@ -362,7 +375,7 @@ def _step_table(w, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     starts = np.empty((k, 2 * n + 2), dtype=np.int64)
     starts[:, 0] = lo
     starts[:, 1:-1:2] = w
-    np.add(w, 1, out=starts[:, 2:-1:2])
+    np.add(starts[:, 1:-1:2], 1, out=starts[:, 2:-1:2])
     end = hi + 1
     starts[:, -1] = end
     np.clip(starts, lo[:, None], end[:, None], out=starts)
@@ -376,8 +389,11 @@ def _step_table(w, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def _table_counts(h, w, sign, hits, lo, hi):
     """:func:`_shift_by_counts` from the step table: each slot's hash,
     clipped into its column's window and moved to the column's entries,
-    reads its code with one narrow ``take``."""
+    reads its code with one narrow ``take``. Every pass runs in ``h``'s
+    dtype: the table holds at most ``_TABLE_ENTRIES_MAX`` entries, so no
+    entry index wraps."""
     table, base = _step_table(w, lo, hi)
+    lo, hi, base = (a.astype(h.dtype) for a in (lo, hi, base))
     out = np.maximum(h, lo, out=np.empty_like(h))
     np.minimum(out, hi, out=out)
     out += base
@@ -393,7 +409,8 @@ def _table_counts(h, w, sign, hits, lo, hi):
 
 def _search_counts(h, w, sign, hits):
     """:func:`_shift_by_counts` from one search of every lifted hash in all
-    columns' lifted ranks."""
+    columns' lifted ranks. The lifts pass int32, so the queries are int64;
+    the counts land in an output of h's dtype."""
     top = max(int(h.max(initial=0)), int(w.max(initial=0)))
     lifted, offsets = _lifted_ranks(w, top)
     # Queries go column by column, so consecutive searches end among the
@@ -410,15 +427,16 @@ def _search_counts(h, w, sign, hits):
         hit = np.flatnonzero((lifted.take(idx) == query).T)
         base -= 1
     idx -= base[:, None]
-    out = np.add(h, idx.T) if sign > 0 else np.subtract(h, idx.T)
+    out = np.empty_like(h)
+    (np.add if sign > 0 else np.subtract)(h, idx.T, out=out)
     return out, hit
 
 
 def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
     """:func:`multiple_lift_hash` on every slot of a hash matrix at once.
 
-    ``h[i, j]`` is point i's hash under ``perms[j]``, 0 for EMPTY; the result
-    is a new int64 matrix in the same layout. A hash r becomes
+    ``h[i, j]`` is point i's int32 hash under ``perms[j]``, 0 for EMPTY; the
+    result is a new int32 matrix in the same layout. A hash r becomes
     r + #{w <= r} over the column's base ranks W, or the best inserted 1-bit
     rank when that is smaller; an EMPTY slot takes that rank or stays EMPTY.
     """
@@ -430,15 +448,19 @@ def _lift(h, w, ones) -> np.ndarray:
     """The insertion rule on (K, n) ranks ``w`` in h's frame, where entry i
     inserts a 1 when ``ones[i]``.
 
-    The shifts come from :func:`_shift_by_counts`: one narrow gather per
-    slot from the step table, or one search, as its size rule picks.
+    The ranks are cast to h's dtype on entry, so every pass over the matrix
+    runs in it. The shifts come from :func:`_shift_by_counts`: one narrow
+    gather per slot from the step table, or one search, as its size rule
+    picks.
     """
+    w = w.astype(h.dtype, copy=False)
     out, _ = _shift_by_counts(h, np.sort(w, axis=1), +1)
     if ones.any():
         # Inserted element i lands at rank w_i + #{w < w_i}, which rises with
         # w_i, so a column's best 1-bit is its smallest 1-bit base rank.
         w1 = w[:, ones].min(axis=1)
-        best = w1 + (w < w1[:, None]).sum(axis=1)
+        best = (w < w1[:, None]).sum(axis=1, dtype=w.dtype)
+        best += w1
         np.minimum(out, best, out=out)
         np.copyto(out, best, where=h == 0)
     return out
@@ -462,6 +484,8 @@ def _drop(h, cur, base, gone, perms, pack: SupportPack) -> np.ndarray:
     frame; a deleted hash is rescanned over the support ranks whose
     positions are not among the sorted 0-based positions ``gone`` deleted so
     far, whose sorted base ranks are ``base``. One batch has ``cur is base``.
+    ``cur`` is cast to h's dtype on entry, so every pass over the matrix runs
+    in it.
 
     The shifts and the deleted hashes come from :func:`_shift_by_counts`,
     by step table or search as for :func:`_lift`: the table's odd codes, or
@@ -470,7 +494,7 @@ def _drop(h, cur, base, gone, perms, pack: SupportPack) -> np.ndarray:
     ``_RESCAN_BLOCK_ENTRIES`` entries, or of one hit whose support is larger,
     so its scratch stays bounded however many slots it rescans.
     """
-    out, hits = _shift_by_counts(h, cur, -1, hits=True)
+    out, hits = _shift_by_counts(h, cur.astype(h.dtype, copy=False), -1, hits=True)
     if hits.size == 0:
         return out
     # C order groups the hits by row; a stable sort of the few regroups them
@@ -510,7 +534,7 @@ def _rescanned_hashes(rows, cols, seg_len, gone, perms, pack, lifted, offsets) -
     bounds = np.append(seg_start[firsts], total)
     for j, a, b in zip(cols[firsts].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         perms[j].rank.take(positions[a:b], out=ranks[a:b], mode="clip")  # entries < dim
-    ranks = ranks.astype(np.int64)
+    ranks = ranks.astype(np.int64)  # the sentinel below, dim + 1, may be 2**31
     # A support rank was deleted exactly when its position was, in every
     # column: one search of the positions among the few deleted ones. It
     # then reads dim + 1, above every support rank, as does a hit with no
@@ -534,12 +558,12 @@ def _rescanned_hashes(rows, cols, seg_len, gone, perms, pack, lifted, offsets) -
 def row_to_sketch(row: np.ndarray) -> Sketch:
     """One hash-matrix row as a Sketch.
 
-    A non-empty 1-D int64 row with no negative entry, as every kernel
+    A non-empty 1-D int32 row with no negative entry, as every kernel
     returns, is checked by one comparison and a copy of it becomes the
     sketch's row without per-value checks; any other row goes through the
     Sketch constructor and its messages.
     """
-    if row.dtype == np.int64 and row.ndim == 1 and row.size and row.min() >= 0:
+    if row.dtype == np.int32 and row.ndim == 1 and row.size and row.min() >= 0:
         return Sketch._from_row(row.copy())
     return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
 

@@ -108,7 +108,7 @@ def matrix_case(draw, max_dim=24, max_points=6, max_perms=5):
     elif mode == "arbitrary":
         # Values above dim hold hashes above every batch rank of their column.
         values = draw(st.lists(st.integers(0, dim + 3), min_size=h.size, max_size=h.size))
-        h = np.array(values, dtype=np.int64).reshape(h.shape)
+        h = np.array(values, dtype=np.int32).reshape(h.shape)
     return points, perms, positions, bits, h, mode == "true"
 
 
@@ -188,7 +188,7 @@ class TestMinHashMatrix:
         lengths = np.array([len(x.support) for x in points], dtype=np.int64)
         with patch.object(sketch, "_GATHER_BLOCK_ENTRIES", block):
             got = min_hash_matrix(perms, SupportPack(len(points), dim, flat, lengths))
-        assert got.dtype == np.int64 and got.shape == (len(points), len(perms))
+        assert got.dtype == np.int32 and got.shape == (len(points), len(perms))
         for row, x in zip(got.tolist(), points):
             assert row == [as_value(min_hash(x, p)) for p in perms]
             brute = [min_rank_brute(x.to_dense(), p.rank.tolist()) for p in perms]
@@ -211,7 +211,7 @@ class TestMinHashMatrix:
                 perms = [random_permutation(dim, PermutationSeed(6, j)) for j in range(k)]
                 with patch.object(sketch, "_GATHER_BLOCK_ENTRIES", block):
                     got = min_hash_matrix(perms, pack)
-                assert got.dtype == np.int64
+                assert got.dtype == np.int32
                 assert got.tolist() == [[as_value(min_hash(x, p)) for p in perms] for x in points]
 
     @pytest.mark.parametrize("entry", [-1, -5, 5, 6])
@@ -247,7 +247,7 @@ class TestMinHashMatrix:
                 assert np.array_equal(serial, min_hash_matrix(perms, pack))
                 for threads in range(2, 9):
                     got = engine.sketch_matrix(pack, perms, threads=threads)
-                    assert got.dtype == np.int64 and np.array_equal(got, serial)
+                    assert got.dtype == np.int32 and np.array_equal(got, serial)
 
 
 @pytest.mark.parametrize("back_end", BACK_ENDS)
@@ -258,7 +258,7 @@ class TestLiftHashMatrix:
         points, perms, positions, bits, h, true_sketch = case
         batch = InsertionBatch(positions, bits)
         got = kernel_insert(h, perms, batch, back_end)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, per_slot_insert(h, perms, batch))
         if true_sketch:
             expected = resketch(points, perms, insert_features, multiple_lift_perm, batch)
@@ -268,7 +268,7 @@ class TestLiftHashMatrix:
         # Both columns put the batch at ranks 1 and 2; a span of only
         # max(W) + 1 would let the hash 6 of column 0 count column 1's ranks.
         ident = Permutation([1, 2, 3, 4, 5, 6])
-        h = np.array([[6, 6], [0, 3]], dtype=np.int64)
+        h = np.array([[6, 6], [0, 3]], dtype=np.int32)
         batch = InsertionBatch((1, 2), (0, 0))
         got = kernel_insert(h, [ident, ident], batch, back_end)
         assert got.tolist() == [[8, 8], [0, 5]]
@@ -303,7 +303,7 @@ class TestDropHashMatrix:
         points, perms, positions, _, h, true_sketch = case
         batch = DeletionBatch(positions)
         got = kernel_delete(h, points, perms, batch, back_end)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, per_slot_delete(h, points, perms, batch))
         if true_sketch:
             expected = resketch(points, perms, delete_features, multiple_drop_perm, batch)
@@ -342,7 +342,7 @@ class TestDropHashMatrix:
         # onto column 1's deleted rank and drop it as deleted.
         x = SparseBinaryVector(3, (1, 3))
         perms = [Permutation([1, 2, 3]), Permutation([1, 3, 2])]
-        h = np.array([[1, 1]], dtype=np.int64)
+        h = np.array([[1, 1]], dtype=np.int32)
         batch = DeletionBatch((1,))
         got = kernel_delete(h, [x], perms, batch, back_end)
         assert got.tolist() == [[2, 1]]
@@ -351,7 +351,7 @@ class TestDropHashMatrix:
     def test_hash_above_every_batch_rank_stays_in_its_column(self, back_end):
         ident = Permutation([1, 2, 3, 4, 5, 6])
         points = [SparseBinaryVector(6, (6,)), SparseBinaryVector(6, (1, 3))]
-        h = np.array([[6, 6], [1, 1]], dtype=np.int64)
+        h = np.array([[6, 6], [1, 1]], dtype=np.int32)
         batch = DeletionBatch((1, 2))
         got = kernel_delete(h, points, [ident, ident], batch, back_end)
         assert got.tolist() == [[4, 4], [1, 1]]
@@ -365,7 +365,7 @@ def fold_case(draw):
     points, perms, positions, bits, h, _ = draw(matrix_case())
     dim, k = perms[0].dim, len(perms)
     points = points + [SparseBinaryVector(dim, ())]
-    h = np.vstack([h, np.zeros((1, k), dtype=np.int64)])
+    h = np.vstack([h, np.zeros((1, k), dtype=np.int32)])
     edges = ((1,), (dim,), tuple(sorted({1, dim})), tuple(range(1, dim + 1)))
     positions = draw(st.one_of(st.just(positions), st.sampled_from(edges)))
     n = len(positions)
@@ -413,7 +413,7 @@ class TestSequentialFolds:
         with count_back_end(back_end):
             got = engine.apply_sequential_insert(h, perms, batch)
             assert np.array_equal(got, engine.apply_batch_insert(h, perms, batch))
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, folded_lift_hash(h, perms, batch))
 
     @given(fold_case())
@@ -425,7 +425,7 @@ class TestSequentialFolds:
         with count_back_end(back_end):
             got = engine.apply_sequential_delete(h, pack, perms, batch)
             assert np.array_equal(got, engine.apply_batch_delete(h, pack, perms, batch))
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         # drop_hash walks upward from the deleted rank, so it is the rule only
         # where every slot holds its point's minimum or EMPTY.
         if np.all((h == 0) | (h == engine.sketch_matrix(pack, perms))):
@@ -449,10 +449,10 @@ X7 = SparseBinaryVector.from_dense([1, 0, 0, 1, 0, 1, 0])
 
 
 @pytest.mark.parametrize("back_end", BACK_ENDS)
-class TestInt32RanksInt64Outputs:
-    """Ranks are int32; every hash matrix, fold and sketch row stays int64."""
+class TestInt32RanksAndHashes:
+    """Ranks are int32, and so is every hash matrix, fold and sketch row."""
 
-    def test_every_output_is_int64(self, back_end):
+    def test_every_output_is_int32(self, back_end):
         with count_back_end(back_end):
             perms = [PI7, random_permutation(7, PermutationSeed(2)), multiple_drop_perm(PI8, (8,))]
             assert all(p.rank.dtype == np.int32 for p in perms)
@@ -471,7 +471,7 @@ class TestInt32RanksInt64Outputs:
                 sketch._batch_ranks(h, perms, ins),
             ]
             for out in outputs:
-                assert out.dtype == np.int64
+                assert out.dtype == np.int32
             sk = build_sketch(X7, perms)
             rows = [
                 sk.row,
@@ -480,26 +480,27 @@ class TestInt32RanksInt64Outputs:
                 Sketch((3, EMPTY)).row,
             ]
             for row in rows:
-                assert row.dtype == np.int64
+                assert row.dtype == np.int32
 
-    def test_hashes_past_int32_lift_and_drop_exactly(self, back_end):
+    def test_hashes_near_int32_max_lift_and_drop_exactly(self, back_end):
         with count_back_end(back_end):
-            # The kernels lift column j by j * (top + 1), past int32 for hashes
-            # near 2**31: the int32 ranks must meet them widened. Row 1 holds
-            # PI7's deleted rank 3, so the delete kernel rescans it.
-            big = [2**31 - 2, 2**31 + 5, 3 * 2**30, 2**40]
+            # The search lifts column j by j * (top + 1), past int32 for hashes
+            # near 2**31: the int32 hashes and ranks must meet it widened. The
+            # insertion's two 0-bits shift the largest hash to 2**31 - 1 exactly.
+            # Row 1 holds PI7's deleted rank 3, so the delete kernel rescans it.
+            big = [2**31 - 3, 2**31 - 10, 3 * 2**29, 2**30]
             perms = [PI7] * len(big)
-            h = np.array([big, [3, 3, 2**31, 0]], dtype=np.int64)
-            batch = InsertionBatch((2, 5), (1, 0))
+            h = np.array([big, [3, 3, 2**31 - 3, 0]], dtype=np.int32)
+            batch = InsertionBatch((2, 5), (0, 0))
             got = lift_hash_matrix(h, perms, batch)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32 and got.max() == 2**31 - 1
             assert np.array_equal(got, per_slot_insert(h, perms, batch))
             assert np.array_equal(engine.apply_sequential_insert(h, perms, batch), got)
             points = [X7, SparseBinaryVector(7, (2, 4))]
             pack = engine.pack_supports(points)
             dele = DeletionBatch((2, 5))
             got = drop_hash_matrix(h, perms, dele, pack)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert np.array_equal(got, per_slot_delete(h, points, perms, dele))
             assert np.array_equal(engine.apply_sequential_delete(h, pack, perms, dele), got)
 
@@ -511,7 +512,7 @@ def check_both_rules(h, points, perms, ins, dele, back_end):
     with count_back_end(back_end):
         grown = lift_hash_matrix(h, perms, ins)
         shrunk = drop_hash_matrix(h, perms, dele, pack)
-    assert grown.dtype == shrunk.dtype == np.int64
+    assert grown.dtype == shrunk.dtype == np.int32
     assert np.array_equal(grown, per_slot_insert(h, perms, ins))
     assert np.array_equal(shrunk, per_slot_delete(h, points, perms, dele))
     if np.array_equal(h, engine.sketch_matrix(pack, perms)):
@@ -595,13 +596,13 @@ class TestCountFrontEdges:
     def test_no_permutations(self, back_end, points):
         # K = 0: both kernels return the (P, 0) matrix, below and above the
         # table's row minimum.
-        h = np.zeros((points, 0), dtype=np.int64)
+        h = np.zeros((points, 0), dtype=np.int32)
         pack = engine.pack_supports([SparseBinaryVector(6, (1, 3))] * points)
         with count_back_end(back_end):
             grown = lift_hash_matrix(h, [], InsertionBatch((2, 4), (1, 0)))
             shrunk = drop_hash_matrix(h, [], DeletionBatch((2, 4)), pack)
         for out in (grown, shrunk):
-            assert out.shape == (points, 0) and out.dtype == np.int64
+            assert out.shape == (points, 0) and out.dtype == np.int32
 
 
 class TestStepTable:
@@ -614,9 +615,9 @@ class TestStepTable:
         top = data.draw(st.integers(1, 30))
         n = data.draw(st.integers(1, top))
         ranks = st.sets(st.integers(1, top), min_size=n, max_size=n)
-        w = np.array([sorted(data.draw(ranks)) for _ in range(k)], dtype=np.int64)
+        w = np.array([sorted(data.draw(ranks)) for _ in range(k)], dtype=np.int32)
         values = data.draw(st.lists(st.integers(0, top + 3), min_size=k, max_size=3 * k))
-        h = np.array(values[: len(values) // k * k], dtype=np.int64).reshape(-1, k)
+        h = np.array(values[: len(values) // k * k], dtype=np.int32).reshape(-1, k)
         with count_back_end("table"):
             lo, hi = sketch._step_windows(h, w)
         table, base = sketch._step_table(w, lo, hi)
@@ -670,7 +671,9 @@ class TestSizeRule:
     def test_tables_over_large_dimensions_stay_bounded(self):
         # One-feature supports put the hashes anywhere in 1..d, so a step
         # table would hold about 430 entries per slot (over 100 MB here); the
-        # size rule keeps the search, whose scratch stays near 4 MB.
+        # size rule keeps the search, whose scratch stays near 6.5 MB. The
+        # search lifts its queries in int64 whatever the matrix's width, so
+        # the bound counts 4 int64 words a slot.
         d, p, k = 10**6, 2000, 128
         perms = [random_permutation(d, PermutationSeed(1, 0))] * k
         rng = np.random.default_rng(0)
@@ -689,7 +692,7 @@ class TestSizeRule:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak < 4 * h.nbytes
+                assert peak < 4 * 8 * h.size
 
 
 @pytest.mark.parametrize("back_end", BACK_ENDS)
@@ -727,15 +730,15 @@ def constructor_sketch(row):
 
 
 class TestRowToSketch:
-    @given(st.lists(st.integers(0, 2**62), min_size=1, max_size=12))
+    @given(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_equals_the_constructor(self, values):
-        row = np.array(values, dtype=np.int64)
+        row = np.array(values, dtype=np.int32)
         sk = row_to_sketch(row)
         expected = constructor_sketch(row)
         assert sk == expected and sk.values == expected.values
         assert all(v is EMPTY if x == 0 else type(v) is int for v, x in zip(sk.values, values))
-        assert sk.row.dtype == np.int64 and sk.row.tolist() == values
+        assert sk.row.dtype == np.int32 and sk.row.tolist() == values
         assert not sk.row.flags.writeable
         with pytest.raises(ValueError):
             sk.row[0] = 1
@@ -754,7 +757,7 @@ class TestRowToSketch:
         assert column.row.flags.c_contiguous
 
     def test_pickle_and_deepcopy_round_trip(self):
-        sk = row_to_sketch(np.array([4, 0, 1, 0], dtype=np.int64))
+        sk = row_to_sketch(np.array([4, 0, 1, 0], dtype=np.int32))
         for copied in (pickle.loads(pickle.dumps(sk)), copy.deepcopy(sk)):
             assert copied == sk and copied.values == (4, EMPTY, 1, EMPTY)
             assert copied.values[1] is EMPTY
@@ -770,6 +773,10 @@ class TestRowToSketch:
             (np.array([[1, 2], [0, 3]], dtype=np.int64), "[1, 2] is not a hash value"),
             (np.zeros(0, dtype=np.int64), "a sketch needs at least one slot"),
             (np.array([-2, 1], dtype=np.int32), "hash value -2 must be at least 1 or EMPTY"),
+            (
+                np.array([1, 2**31], dtype=np.int64),
+                "hash value 2147483648 exceeds 2147483647, the largest a sketch takes",
+            ),
         ],
     )
     def test_other_rows_keep_the_constructor_messages(self, row, message):
@@ -781,9 +788,9 @@ class TestRowToSketch:
         assert str(err.value) == message
 
     def test_other_valid_rows_go_through_the_constructor(self):
-        for row in (np.array([2, 0, 5], dtype=np.int32), np.zeros(3), np.array([True, False])):
+        for row in (np.array([2, 0, 5], dtype=np.int64), np.zeros(3), np.array([True, False])):
             sk = row_to_sketch(row)
-            assert sk == constructor_sketch(row) and sk.row.dtype == np.int64
+            assert sk == constructor_sketch(row) and sk.row.dtype == np.int32
 
 
 class TestWrapperMessages:
@@ -853,7 +860,7 @@ class TestKernelMessages:
     """The kernels and the sequential folds share one front of checks."""
 
     pack = engine.pack_supports([X7, SparseBinaryVector(7, ())])
-    h = np.ones((2, 2), dtype=np.int64)
+    h = np.ones((2, 2), dtype=np.int32)
 
     insert_paths = (lift_hash_matrix, engine.apply_sequential_insert)
     delete_paths = (
@@ -863,7 +870,7 @@ class TestKernelMessages:
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_hash_columns_must_match_the_permutations(self, width):
-        h = np.ones((2, width), dtype=np.int64)
+        h = np.ones((2, width), dtype=np.int32)
         message = f"^sketch has {width} slots but 2 permutations given$"
         for apply in self.insert_paths:
             with pytest.raises(ValidationError, match=message):
@@ -876,14 +883,15 @@ class TestKernelMessages:
     @pytest.mark.parametrize(
         "h",
         [
-            np.ones(2, dtype=np.int64),
+            np.ones(2, dtype=np.int32),
             np.ones((2, 2), dtype=np.float64),
-            np.ones((2, 2, 1), dtype=np.int64),
+            np.ones((2, 2), dtype=np.int64),
+            np.ones((2, 2, 1), dtype=np.int32),
         ],
-        ids=["1-D", "float", "3-D"],
+        ids=["1-D", "float", "int64", "3-D"],
     )
-    def test_hash_matrix_must_be_2d_int64(self, h):
-        message = "^hash matrix must be a 2-D int64 array$"
+    def test_hash_matrix_must_be_2d_int32(self, h):
+        message = "^hash matrix must be a 2-D int32 array$"
         for apply in self.insert_paths:
             with pytest.raises(ValidationError, match=message):
                 apply(h, [PI7, PI7], InsertionBatch((1,), (1,)))
@@ -1090,7 +1098,7 @@ class TestSequentialFoldsInOneEntryChunks(TestSequentialFolds):
 
 
 @pytest.mark.usefixtures("one_entry_rescan_chunks")
-class TestInt32RanksInt64OutputsInOneEntryChunks(TestInt32RanksInt64Outputs):
+class TestInt32RanksAndHashesInOneEntryChunks(TestInt32RanksAndHashes):
     pass
 
 

@@ -25,6 +25,7 @@ from dynsketch.estimate import minwise_uniformity_test
 from dynsketch.ingest import Corpus, sample_corpus
 from dynsketch.permgen import PermutationSeed, drop_perm, lift_perm, random_permutation
 from dynsketch.sketch import drop_hash, lift_hash
+from dynsketch.bench import engine
 from dynsketch.bench.experiment import ExperimentConfig, run_experiment
 from dynsketch.bench.synthetic import synthetic_corpus
 from dynsketch.bench.workload import draw_deletion_plan, draw_insertion_plan
@@ -33,6 +34,12 @@ from _reference import delete_features_bisect, insert_features_bisect
 
 def vec(*bits):
     return SparseBinaryVector.from_dense(bits)
+
+
+def threaded_sketch(threads):
+    """``engine.sketch_matrix`` of a two-point pack under two permutations."""
+    perms = [random_permutation(5, PermutationSeed(1, j)) for j in range(2)]
+    return engine.sketch_matrix(pack_supports([vec(1, 0, 1, 0, 0), vec(0, 0, 0, 1, 1)]), perms, threads)
 
 
 class TestSparseBinaryVector:
@@ -157,13 +164,15 @@ class TestSketchType:
         with pytest.raises(ValidationError):
             Sketch((0,))
 
-    def test_hash_past_int64_is_rejected_when_built(self):
-        with pytest.raises(ValidationError) as info:
-            Sketch((1, 2**63))
-        assert str(info.value) == (
-            "hash value 9223372036854775808 exceeds 9223372036854775807, "
-            "the largest a sketch takes"
-        )
+    def test_hash_past_the_largest_rank_is_rejected_when_built(self):
+        # A hash is a rank, which int32 holds; 2**31 - 1 is the largest.
+        for big in (2**31, 2**63):
+            with pytest.raises(ValidationError) as info:
+                Sketch((1, big))
+            assert str(info.value) == (
+                f"hash value {big} exceeds 2147483647, the largest a sketch takes"
+            )
+        assert Sketch((1, 2**31 - 1)).row.tolist() == [1, 2**31 - 1]
 
     def test_values_are_derived_from_the_row(self):
         sk = Sketch((3, EMPTY, np.int64(1)))
@@ -668,6 +677,8 @@ class TestScalarIntegers:
             (lambda: draw_deletion_plan(50, 8, "5"), "seed '5' is not an integer"),
             (lambda: draw_deletion_plan(50, 8, 0).workload(2.5), "batch size 2.5 is not an integer"),
             (lambda: draw_deletion_plan(50, 8, 0).workload("5"), "batch size '5' is not an integer"),
+            (lambda: threaded_sketch(2.5), "threads 2.5 is not an integer"),
+            (lambda: threaded_sketch("2"), "threads '2' is not an integer"),
         ],
         ids=[
             "float-rank", "str-rank", "float-bit", "str-bit",
@@ -684,10 +695,24 @@ class TestScalarIntegers:
             "synthetic-str-seed",
             "plan-float-dim", "plan-float-n", "plan-str-seed",
             "workload-float-n", "workload-str-n",
+            "sketch-float-threads", "sketch-str-threads",
         ],
     )
     def test_refuses_a_non_integer(self, call, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: threaded_sketch(0), "threads must be at least 1"),
+            (lambda: threaded_sketch(-3), "threads must be at least 1"),
+            (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 2, -1), "seed must be non-negative"),
+        ],
+        ids=["sketch-zero-threads", "sketch-negative-threads", "sample-negative-seed"],
+    )
+    def test_refuses_an_integer_out_of_range(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
 
     def test_numpy_integers_and_bools_pass(self):
@@ -721,3 +746,4 @@ class TestScalarIntegers:
         plan = draw_insertion_plan(i64(50), i64(8), 0.5, i64(3))
         assert plan == draw_insertion_plan(50, 8, 0.5, 3)
         assert plan.workload(i64(4)) == plan.workload(4)
+        assert np.array_equal(threaded_sketch(i64(2)), threaded_sketch(1))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynsketch import estimate
+from dynsketch.bench.engine import sketch_digest
 from dynsketch.core import (
     EMPTY,
     DeletionBatch,
@@ -20,6 +22,7 @@ from dynsketch.estimate import (
     jaccard_estimate,
     jaccard_true,
     minwise_uniformity_test,
+    pairwise_estimates,
     rmse,
 )
 from dynsketch.permgen import PermutationSeed, random_permutation
@@ -110,7 +113,7 @@ class TestOnePairPathsMatchReferences:
         (a, b), dim, supports = case
         sa, sb = (Sketch(tuple(EMPTY if v == 0 else v for v in r)) for r in (a, b))
         for sk, r in ((sa, a), (sb, b)):
-            assert sk.row.dtype == np.int64 and sk.row.tolist() == r
+            assert sk.row.dtype == np.int32 and sk.row.tolist() == r
             assert not sk.row.flags.writeable
         est = jaccard_estimate(sa, sb)
         assert (est.collisions, est.comparable_slots) == slot_counts_loops(a, b)
@@ -126,6 +129,30 @@ class TestOnePairPathsMatchReferences:
         expected = len(supports[0] & supports[1]) / union if union else 0.0
         assert jaccard_true(x, y) == expected
         assert "support" not in x.__dict__ and "support" not in y.__dict__
+
+
+class TestEstimatesAreDtypeBlind:
+    """The kernels hand over int32 matrices and perfbench stacks int64 rows:
+    both widths of one matrix give the same estimates and digest."""
+
+    @pytest.mark.parametrize(
+        "values, empty_share",
+        [(3, 0.0), (3, 0.3), (50, 0.5)],
+        ids=["large-groups", "large-groups-and-empty", "small-groups-and-empty"],
+    )
+    def test_int32_and_int64_matrices_agree_bit_for_bit(self, values, empty_share):
+        rng = np.random.default_rng(values)
+        p, k = 96, 12
+        h = rng.integers(1, values + 1, size=(p, k)).astype(np.int32)
+        h[rng.random((p, k)) < empty_share] = 0
+        if values == 3:
+            # Some (column, value) groups are large enough for the dense product.
+            largest = max(np.unique(col, return_counts=True)[1].max() for col in h.T)
+            assert largest >= p // estimate._SPLIT_DIVISOR
+        assert (h == 0).any() == (empty_share > 0)
+        wide = h.astype(np.int64)
+        assert pairwise_estimates(h).tobytes() == pairwise_estimates(wide).tobytes()
+        assert sketch_digest(h) == sketch_digest(wide)
 
 
 class TestRmse:

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynsketch import core
-from dynsketch.core import Permutation, ValidationError
+from dynsketch.bench import engine
+from dynsketch.core import (
+    InsertionBatch,
+    Permutation,
+    Sketch,
+    SparseBinaryVector,
+    ValidationError,
+    insert_features,
+    pack_supports,
+)
 from dynsketch.permgen import (
     PermutationSeed,
     drop_perm,
@@ -16,8 +25,20 @@ from dynsketch.permgen import (
     multiple_lift_perm,
     random_permutation,
 )
+from dynsketch.sketch import (
+    build_sketch, lift_hash, lift_hash_matrix, min_hash_matrix, update_sketch_insert
+)
 
 from _reference import drop_perm_loops, lift_perm_loops
+
+
+# Every insert path of the matrix rules, on a 1-row matrix, a sketch, or the
+# sequential fold; each returns the updated hash matrix.
+INSERT_PATHS = {
+    "kernel": lambda sk, perms, batch: lift_hash_matrix(sk.row[None], perms, batch),
+    "sketch": lambda sk, perms, batch: update_sketch_insert(sk, perms, batch).row[None],
+    "fold": lambda sk, perms, batch: engine.apply_sequential_insert(sk.row[None], perms, batch),
+}
 
 
 @st.composite
@@ -394,6 +415,29 @@ class TestRankStorage:
             multiple_lift_perm(Permutation(range(1, 10)), (2, 5))
         assert multiple_lift_perm(Permutation(range(1, 10)), (5,)).dim == 10
         assert multiple_drop_perm(Permutation(range(1, 11)), (2, 5)).dim == 8
+
+    @pytest.mark.parametrize("insert", list(INSERT_PATHS.values()), ids=list(INSERT_PATHS))
+    def test_insert_paths_refuse_a_frame_past_the_limit(self, small_limit, insert):
+        # Two entries would widen the 9-slot frame to 11, whose ranks, and so
+        # hashes, int32 would not hold at the real limit; one reaches 10.
+        perms = [Permutation(range(1, 10)), random_permutation(9, PermutationSeed(3))]
+        point = SparseBinaryVector(9, (2, 9))
+        sk = build_sketch(point, perms)
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            insert(sk, perms, InsertionBatch((2, 5), (1, 0)))
+        batch = InsertionBatch((9,), (1,))
+        lifted = [multiple_lift_perm(p, batch.positions) for p in perms]
+        expected = min_hash_matrix(lifted, pack_supports([insert_features(point, batch)]))
+        assert np.array_equal(insert(sk, perms, batch), expected)
+
+    def test_hashes_past_the_real_limit_are_refused(self):
+        message = "^hash value 2147483648 exceeds 2147483647, the largest a sketch takes$"
+        with pytest.raises(ValidationError, match=message):
+            Sketch((1, 2**31))
+        with pytest.raises(ValidationError, match=message):
+            lift_hash(2**31, 1, 0)
+        assert Sketch((2**31 - 1,)).row.tolist() == [2**31 - 1]
+        assert lift_hash(2**31 - 1, 2**31 - 1, 1) == 2**31 - 1
 
     def test_public_constructor_refuses_a_dimension_past_the_limit(self, small_limit):
         with pytest.raises(ValidationError, match=self.LIMIT):

@@ -73,7 +73,7 @@ class Stream:
         self.check()
 
     def check(self) -> None:
-        assert self.h.dtype == np.int64
+        assert self.h.dtype == np.int32
         assert np.array_equal(self.h, min_hash_matrix(self.perms, pack_supports(self.points)))
 
 
