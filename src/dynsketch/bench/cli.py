@@ -181,9 +181,11 @@ def _uniformity_command(args) -> str:
                 random_permutation(dim, PermutationSeed(args.seed, t)), fixed_r
             )
         else:
+            # A negative trial count draws no slot, so that the test below
+            # refuses it as it does for the other sources.
             slots = np.random.default_rng(
                 np.random.SeedSequence([args.seed, 19])
-            ).integers(1, dim + 1, size=args.trials)
+            ).integers(1, dim + 1, size=max(args.trials, 0))
             perm_source = lambda t: lift_perm(
                 random_permutation(dim, PermutationSeed(args.seed, t)), int(slots[t])
             )

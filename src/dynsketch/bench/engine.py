@@ -56,11 +56,11 @@ def apply_batch_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarra
 def apply_sequential_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
     """:func:`dynsketch.sketch.lift_hash_matrix`'s rule folded over the batch,
     oldest entry first: entry i takes rank ``w_i + #{w_k < w_i, k < i}``."""
-    w = _batch_ranks(h, list(perms), batch)
+    w, _ = _batch_ranks(h, list(perms), batch)
     for i in range(len(batch)):
         here = w[:, i : i + 1]
         cur = here + (w[:, :i] < here).sum(axis=1, keepdims=True)
-        h = _lift(h, cur, batch.one_mask[i : i + 1])
+        h = _lift(h, cur, batch.one_mask[i : i + 1], h.max(axis=0, initial=0))
     return h
 
 
@@ -78,12 +78,13 @@ def apply_sequential_delete(
     oldest entry first: entry i takes rank ``w_i - #{w_k < w_i, k < i}``, and
     a deleted minimum is rescanned past ``w_0..w_i``."""
     perms = list(perms)
-    w = _batch_ranks(h, perms, batch, pack)
+    w, _ = _batch_ranks(h, perms, batch, pack)
     gone = batch.position_array - 1
     for i in range(len(batch)):
         here = w[:, i : i + 1]
         cur = here - (w[:, :i] < here).sum(axis=1, keepdims=True)
-        h = _drop(h, cur, np.sort(w[:, : i + 1], axis=1), gone[: i + 1], perms, pack)
+        base = np.sort(w[:, : i + 1], axis=1)
+        h = _drop(h, cur, base, gone[: i + 1], perms, pack, h.max(axis=0, initial=0))
     return h
 
 

@@ -38,7 +38,9 @@ from dynsketch.permgen import (
 )
 from dynsketch.bench import engine
 from dynsketch.bench.synthetic import synthetic_corpus
-from dynsketch.bench.workload import digest_batch, draw_deletion_plan, draw_insertion_plan
+from dynsketch.bench.workload import (
+    _as_probability, digest_batch, draw_deletion_plan, draw_insertion_plan
+)
 
 MODES = ("insert", "delete")
 PATHS = ("sequential", "batch", "scratch")
@@ -52,8 +54,8 @@ _SEED_MASK = (1 << 64) - 1
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Checked when built; every integer field is stored as a Python int,
-    ``n_features`` sorted and deduplicated, ``paths`` deduplicated in the
-    given order."""
+    ``insert_one_prob`` as a float, ``n_features`` sorted and deduplicated,
+    ``paths`` deduplicated in the given order."""
 
     mode: str
     num_perms: int = 500
@@ -80,11 +82,16 @@ class ExperimentConfig:
             object.__setattr__(self, "sample_size", _as_int(self.sample_size, "sample_size"))
         if self.num_perms < 1:
             raise ValidationError("num_perms must be at least 1")
-        ns = tuple(sorted({_as_int(n, "batch size") for n in self.n_features}))
+        try:
+            sizes = iter(self.n_features)
+        except TypeError:
+            raise ValidationError("n_features must be a sequence of batch sizes") from None
+        ns = tuple(sorted({_as_int(n, "batch size") for n in sizes}))
         if not ns or ns[0] < 1:
             raise ValidationError("n_features must contain positive batch sizes")
-        if not 0.0 <= self.insert_one_prob <= 1.0:
-            raise ValidationError("insert_one_prob must lie in [0, 1]")
+        object.__setattr__(
+            self, "insert_one_prob", _as_probability(self.insert_one_prob, "insert_one_prob")
+        )
         if self.master_seed < 0 or self.master_seed > _SEED_MASK:
             raise ValidationError("master_seed must fit in 64 bits")
         paths = tuple(dict.fromkeys(self.paths))

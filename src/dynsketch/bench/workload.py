@@ -65,11 +65,20 @@ def digest_batch(mode: str, batch) -> str:
     return _digest(mode, batch.positions, bits)
 
 
+def _as_probability(value, what: str) -> float:
+    """``value`` as a float in [0, 1]; a string or other non-number is
+    refused rather than compared."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{what} {value!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{what} must lie in [0, 1]")
+    return float(value)
+
+
 def draw_insertion_plan(dim: int, max_n: int, one_prob: float, seed: int) -> WorkloadPlan:
     """Distinct positions uniform over {1..dim}, each bit 1 with ``one_prob``."""
     _check(dim, max_n, seed)
-    if not 0.0 <= one_prob <= 1.0:
-        raise ValidationError("one_prob must lie in [0, 1]")
+    one_prob = _as_probability(one_prob, "one_prob")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _WORKLOAD_STREAM]))
     positions = rng.choice(dim, size=max_n, replace=False) + 1
     bits = (rng.random(max_n) < one_prob).astype(np.int64)

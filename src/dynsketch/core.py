@@ -11,8 +11,6 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 
@@ -95,21 +93,33 @@ class _Value:
     """The value contract of the core types.
 
     A subclass names its public constructor's arguments in ``_args`` and the
-    fields it compares and hashes by in ``_key``. :meth:`_own` sets each field
-    once and makes every array among them read-only; rebinding or deleting an
-    attribute raises AttributeError. Copies and pickles go through the public
-    constructor, which gives each its own read-only arrays (numpy's copy of
-    an array would be writable).
+    fields it compares and hashes by in ``_key``. :meth:`_own` makes every
+    array among the fields read-only and sets each field once; rebinding or
+    deleting an attribute raises AttributeError. A trusted builder, for parts
+    valid by construction, skips the public constructor through
+    :meth:`_build`. Copies and pickles go through the public constructor,
+    which gives each its own read-only arrays (numpy's copy of an array would
+    be writable).
     """
 
     _args: tuple[str, ...]
     _key: tuple[str, ...]
 
-    def _own(self, **fields) -> None:
+    def _own(self, fields: dict) -> None:
+        # One object.__setattr__ per field: on CPython 3.11, reading
+        # self.__dict__ gives each value a dict of its own (248 bytes a vector
+        # beside its array, against 96).
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _build(cls, **fields):
+        """A value of ``cls`` that owns ``fields``, with no check."""
+        value = object.__new__(cls)
+        value._own(fields)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -163,7 +173,7 @@ class SparseBinaryVector(_Value):
             raise ValidationError(
                 f"support index {support[-1]} exceeds dimension {dim}"
             )
-        self._own(dim=dim, _index=_position_array(support, "support index", "a vector"))
+        self._own(dict(dim=dim, _index=_position_array(support, "support index", "a vector")))
 
     @classmethod
     def from_dense(cls, bits) -> "SparseBinaryVector":
@@ -186,9 +196,7 @@ class SparseBinaryVector(_Value):
         The array is made read-only and becomes the vector's
         :meth:`support_index`.
         """
-        vector = object.__new__(cls)
-        vector._own(dim=dim, _index=support)
-        return vector
+        return cls._build(dim=dim, _index=support)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -240,7 +248,7 @@ class Permutation(_Value):
                 raise ValidationError(f"ranks must lie in 1..{dim}")
             if int(np.bincount(arr, minlength=dim + 1)[1:].max()) > 1:
                 raise ValidationError("ranks must not repeat")
-        self._own(rank=arr.astype(np.int32), dim=dim)
+        self._own(dict(rank=arr.astype(np.int32), dim=dim))
 
     @classmethod
     def _from_valid(cls, rank: np.ndarray) -> "Permutation":
@@ -251,21 +259,11 @@ class Permutation(_Value):
         are about a third of a ``random_permutation`` call. The array is made
         read-only, as the public constructor's copy is.
         """
-        perm = object.__new__(cls)
-        perm._own(rank=rank, dim=int(rank.size))
-        return perm
+        return cls._build(rank=rank, dim=int(rank.size))
 
     def value_at(self, position: int) -> int:
         """The rank assigned to a 1-based position."""
         return int(self.rank[_as_position(position, self.dim) - 1])
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Lookup table: ``inverse[r - 1]`` is the 1-based position holding rank r."""
-        inv = np.empty(self.dim, dtype=np.int64)
-        inv[self.rank - 1] = np.arange(1, self.dim + 1)
-        inv.setflags(write=False)
-        return inv
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self.rank)
@@ -305,7 +303,7 @@ class Sketch(_Value):
         values = [_as_hash(v) for v in values]
         if not values:
             raise ValidationError("a sketch needs at least one slot")
-        self._own(row=np.array([0 if v is EMPTY else v for v in values], dtype=np.int32))
+        self._own(dict(row=np.array([0 if v is EMPTY else v for v in values], dtype=np.int32)))
 
     @classmethod
     def _from_row(cls, row: np.ndarray) -> "Sketch":
@@ -316,9 +314,7 @@ class Sketch(_Value):
         non-empty 1-D int32 array with no negative entry. The array is made
         read-only and becomes ``row``.
         """
-        sketch = object.__new__(cls)
-        sketch._own(row=row)
-        return sketch
+        return cls._build(row=row)
 
     @property
     def values(self) -> tuple:
@@ -368,13 +364,13 @@ class InsertionBatch(_Batch):
             raise ValidationError("bits must be 0 or 1")
         bits = tuple(map(int, bits))
         landed = tuple(m + i for i, (m, b) in enumerate(zip(positions, bits)) if b == 1)
-        self._own(
+        self._own(dict(
             positions=positions,
             bits=bits,
             position_array=_position_array(positions, "position"),
             one_mask=np.array(bits, dtype=bool),
             landed_ones=_position_array(landed, "landed position"),
-        )
+        ))
 
 
 class DeletionBatch(_Batch):
@@ -390,7 +386,7 @@ class DeletionBatch(_Batch):
         positions = _as_positions(positions)
         if not positions:
             raise ValidationError("batch must contain at least one position")
-        self._own(positions=positions, position_array=_position_array(positions, "position"))
+        self._own(dict(positions=positions, position_array=_position_array(positions, "position")))
 
 
 def _edit_dim(dim: int) -> int:
@@ -493,7 +489,7 @@ class SupportPack(_Value):
         if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= dim):
             raise ValidationError(f"packed support entries must lie in 0..{dim - 1}")
         starts = _segment_starts(lengths)
-        self._own(count=count, dim=dim, flat=flat, lengths=lengths, starts=starts)
+        self._own(dict(count=count, dim=dim, flat=flat, lengths=lengths, starts=starts))
         step = np.diff(flat)
         # The step into a later point's first entry crosses points: let it pass.
         cross = starts[(starts > 0) & (starts < flat.size)]
@@ -509,10 +505,10 @@ class SupportPack(_Value):
         For :func:`pack_supports` only: the arrays are made read-only, as the
         constructor's copies are.
         """
-        pack = object.__new__(cls)
-        starts = _segment_starts(lengths)
-        pack._own(count=int(lengths.size), dim=dim, flat=flat, lengths=lengths, starts=starts)
-        return pack
+        return cls._build(
+            count=int(lengths.size), dim=dim, flat=flat, lengths=lengths,
+            starts=_segment_starts(lengths),
+        )
 
 
 def pack_supports(vectors) -> SupportPack:

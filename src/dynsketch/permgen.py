@@ -50,7 +50,7 @@ class PermutationSeed(_Value):
             raise ValidationError(f"seed {seed} must be below 2**64")
         if index >= 2**32:
             raise ValidationError(f"index {index} must be below 2**32")
-        self._own(seed=seed, index=index)
+        self._own(dict(seed=seed, index=index))
 
     def _entropy(self) -> list[int]:
         """The ``SeedSequence`` entropy of this pair, which no other pair gives.

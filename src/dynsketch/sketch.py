@@ -196,8 +196,9 @@ def drop_hash(
     """Update a hash for a single feature deletion.
 
     A hash below the deleted rank is untouched; above it, it slides down by
-    one. When the deleted feature was itself the minimum, the next support
-    bit is found by walking ranks upward through the inverse permutation.
+    one. When the deleted feature was itself the minimum, the new minimum is
+    the smallest support rank above it, slid down by one, read from one
+    gather of the support's ranks; EMPTY when there is none.
     """
     if vector.dim != pi.dim:
         raise _dim_mismatch(vector.dim, pi.dim)
@@ -210,12 +211,9 @@ def drop_hash(
         return old_hash
     if old_hash > deleted_rank:
         return old_hash - 1
-    members = set(vector.support)
-    inverse = pi.inverse
-    for r in range(deleted_rank + 1, vector.dim + 1):
-        if int(inverse[r - 1]) in members:
-            return r - 1
-    return EMPTY
+    ranks = pi.rank[vector.support_index() - 1]
+    above = ranks[ranks > deleted_rank]
+    return int(above.min()) - 1 if above.size else EMPTY
 
 
 def multiple_drop_hash(
@@ -277,16 +275,21 @@ _TABLE_ENTRIES_MAX = np.iinfo(np.int32).max
 _RESCAN_BLOCK_ENTRIES = 1 << 16
 
 
-def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray:
+def _batch_ranks(
+    h, perms, batch, pack: SupportPack | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The kernels' front: the (K, n) int32 base ranks of the batch
-    positions, row k under ``perms[k]``.
+    positions, row k under ``perms[k]``, and ``h``'s column maxima (K,),
+    which the count front reads in place of another pass over ``h``.
 
-    Checks first that ``h`` is a 2-D int32 array (its shape and dtype, not
-    its values) with one column per permutation (and one row per point of
-    ``pack``), then each permutation in turn, in the per-slot rules' order:
-    that it has the pack's dimension, that the batch fits it, and, for an
-    insertion, that the widened frame still fits int32 ranks, so that no
-    lifted hash can wrap.
+    Checks first that ``h`` is a 2-D int32 array (its shape and dtype) with
+    one column per permutation (and one row per point of ``pack``), then
+    each permutation in turn, in the per-slot rules' order: that it has the
+    pack's dimension, that the batch fits it, for an insertion that the
+    widened frame still fits int32 ranks, and that no hash of its column
+    exceeds its dimension. A hash is a rank, so a larger one was taken
+    under another permutation, say before a lift the caller left out, and
+    no hash the kernels return can wrap.
     """
     if not isinstance(h, np.ndarray) or h.ndim != 2 or h.dtype != np.int32:
         raise ValidationError("hash matrix must be a 2-D int32 array")
@@ -295,20 +298,25 @@ def _batch_ranks(h, perms, batch, pack: SupportPack | None = None) -> np.ndarray
     if pack is not None and h.shape[0] != pack.count:
         raise ValidationError(f"hash matrix has {h.shape[0]} rows but {pack.count} packed points")
     idx = batch.position_array - 1
-    last = batch.positions[-1]
     grow = len(batch) if isinstance(batch, InsertionBatch) else 0
     widest = core._RANK_MAX - grow  # the largest dimension the batch leaves in range
+    tops = h.max(axis=0, initial=0)
+    # The least dimension that holds the batch and every hash: a permutation
+    # of dimension need..widest passes the three checks with one comparison.
+    need = max(batch.positions[-1], int(tops.max(initial=0)))
     ranks = np.empty((len(perms), len(batch)), dtype=np.int32)
     for k, p in enumerate(perms):
         if pack is not None and p.dim != pack.dim:
             raise _dim_mismatch(pack.dim, p.dim)
-        if last > p.dim:
+        if not need <= p.dim <= widest:
             batch.validate_for_dim(p.dim)
-        if p.dim > widest:
-            _check_rank_dim(p.dim + grow)
+            if p.dim > widest:
+                _check_rank_dim(p.dim + grow)
+            if tops[k] > p.dim:
+                raise ValidationError(f"hash {tops[k]} exceeds permutation dimension {p.dim}")
         # The positions fit p, so clipping never moves one.
         p.rank.take(idx, out=ranks[k], mode="clip")
-    return ranks
+    return ranks, tops
 
 
 def _lifted_ranks(w_sorted: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,30 +331,31 @@ def _lifted_ranks(w_sorted: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarra
     return (w_sorted + offsets[:, None]).ravel(), offsets
 
 
-def _shift_by_counts(h, w, sign, hits=False):
+def _shift_by_counts(h, w, sign, tops, hits=False):
     """``h + sign * #{w <= h}`` for every slot, with 0 (EMPTY) staying 0, over
-    each column's sorted distinct ranks ``w`` (K, n); and, when ``hits``, the
-    C-order flat indices of the slots whose hash is one of its column's ranks
-    (else None).
+    each column's sorted distinct ranks ``w`` (K, n), where ``tops`` holds
+    ``h``'s column maxima; and, when ``hits``, the C-order flat indices of
+    the slots whose hash is one of its column's ranks (else None).
 
     The count front of both update rules. It reads the counts from a step
     table when :func:`_step_windows` finds one that pays, and otherwise
     searches for them.
     """
-    windows = _step_windows(h, w)
+    windows = _step_windows(h, w, tops)
     if windows is None:
-        return _search_counts(h, w, sign, hits)
+        return _search_counts(h, w, sign, tops, hits)
     return _table_counts(h, w, sign, hits, *windows)
 
 
-def _step_windows(h, w):
+def _step_windows(h, w, tops):
     """The size rule: each column's step-table window ``(lo, hi)``, or None
     when the search is cheaper.
 
-    Column j's table covers ranks ``w[j, 0] - 1 .. min(max h[:, j], w[j, -1] + 1)``
-    (at least one entry): a hash below it counts 0 and one above it n. The
-    table pays only from ``_TABLE_MIN_ROWS`` rows, and only while its entries
-    number at most ``_TABLE_ENTRIES_PER_SLOT`` per slot of ``h`` and at most
+    Column j's table covers ranks ``w[j, 0] - 1 .. min(tops[j], w[j, -1] + 1)``,
+    ``tops[j]`` being the column's largest hash (at least one entry): a hash
+    below it counts 0 and one above it n. The table pays only from
+    ``_TABLE_MIN_ROWS`` rows, and only while its entries number at most
+    ``_TABLE_ENTRIES_PER_SLOT`` per slot of ``h`` and at most
     ``_TABLE_ENTRIES_MAX`` in all. The windows are int64, as ``w[j, -1] + 1``
     may pass the largest rank; each bound is a rank or a hash, so it fits
     ``h``'s dtype.
@@ -354,7 +363,7 @@ def _step_windows(h, w):
     if h.shape[0] < _TABLE_MIN_ROWS:
         return None
     lo = w[:, 0].astype(np.int64) - 1
-    hi = np.minimum(h.max(axis=0, initial=0), w[:, -1].astype(np.int64) + 1)
+    hi = np.minimum(tops, w[:, -1].astype(np.int64) + 1)
     np.maximum(hi, lo, out=hi)
     if int((hi - lo + 1).sum()) > min(_TABLE_ENTRIES_PER_SLOT * h.size, _TABLE_ENTRIES_MAX):
         return None
@@ -407,11 +416,11 @@ def _table_counts(h, w, sign, hits, lo, hi):
     return out, hit
 
 
-def _search_counts(h, w, sign, hits):
+def _search_counts(h, w, sign, tops, hits):
     """:func:`_shift_by_counts` from one search of every lifted hash in all
     columns' lifted ranks. The lifts pass int32, so the queries are int64;
     the counts land in an output of h's dtype."""
-    top = max(int(h.max(initial=0)), int(w.max(initial=0)))
+    top = max(int(tops.max(initial=0)), int(w.max(initial=0)))
     lifted, offsets = _lifted_ranks(w, top)
     # Queries go column by column, so consecutive searches end among the
     # same column's ranks, which stay in cache.
@@ -440,13 +449,13 @@ def lift_hash_matrix(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:
     r + #{w <= r} over the column's base ranks W, or the best inserted 1-bit
     rank when that is smaller; an EMPTY slot takes that rank or stays EMPTY.
     """
-    perms = list(perms)
-    return _lift(h, _batch_ranks(h, perms, batch), batch.one_mask)
+    w, tops = _batch_ranks(h, list(perms), batch)
+    return _lift(h, w, batch.one_mask, tops)
 
 
-def _lift(h, w, ones) -> np.ndarray:
+def _lift(h, w, ones, tops) -> np.ndarray:
     """The insertion rule on (K, n) ranks ``w`` in h's frame, where entry i
-    inserts a 1 when ``ones[i]``.
+    inserts a 1 when ``ones[i]``, and ``tops`` holds h's column maxima.
 
     The ranks are cast to h's dtype on entry, so every pass over the matrix
     runs in it. The shifts come from :func:`_shift_by_counts`: one narrow
@@ -454,7 +463,7 @@ def _lift(h, w, ones) -> np.ndarray:
     picks.
     """
     w = w.astype(h.dtype, copy=False)
-    out, _ = _shift_by_counts(h, np.sort(w, axis=1), +1)
+    out, _ = _shift_by_counts(h, np.sort(w, axis=1), +1, tops)
     if ones.any():
         # Inserted element i lands at rank w_i + #{w < w_i}, which rises with
         # w_i, so a column's best 1-bit is its smallest 1-bit base rank.
@@ -475,17 +484,18 @@ def drop_hash_matrix(h: np.ndarray, perms, batch: DeletionBatch, pack: SupportPa
     v - #{w < v}, or by EMPTY when nothing survives.
     """
     perms = list(perms)
-    w_sorted = np.sort(_batch_ranks(h, perms, batch, pack), axis=1)
-    return _drop(h, w_sorted, w_sorted, batch.position_array - 1, perms, pack)
+    w, tops = _batch_ranks(h, perms, batch, pack)
+    w_sorted = np.sort(w, axis=1)
+    return _drop(h, w_sorted, w_sorted, batch.position_array - 1, perms, pack, tops)
 
 
-def _drop(h, cur, base, gone, perms, pack: SupportPack) -> np.ndarray:
+def _drop(h, cur, base, gone, perms, pack: SupportPack, tops) -> np.ndarray:
     """The deletion rule on each column's sorted ranks ``cur`` deleted in h's
-    frame; a deleted hash is rescanned over the support ranks whose
-    positions are not among the sorted 0-based positions ``gone`` deleted so
-    far, whose sorted base ranks are ``base``. One batch has ``cur is base``.
-    ``cur`` is cast to h's dtype on entry, so every pass over the matrix runs
-    in it.
+    frame, where ``tops`` holds h's column maxima; a deleted hash is
+    rescanned over the support ranks whose positions are not among the
+    sorted 0-based positions ``gone`` deleted so far, whose sorted base ranks
+    are ``base``. One batch has ``cur is base``. ``cur`` is cast to h's
+    dtype on entry, so every pass over the matrix runs in it.
 
     The shifts and the deleted hashes come from :func:`_shift_by_counts`,
     by step table or search as for :func:`_lift`: the table's odd codes, or
@@ -494,7 +504,7 @@ def _drop(h, cur, base, gone, perms, pack: SupportPack) -> np.ndarray:
     ``_RESCAN_BLOCK_ENTRIES`` entries, or of one hit whose support is larger,
     so its scratch stays bounded however many slots it rescans.
     """
-    out, hits = _shift_by_counts(h, cur.astype(h.dtype, copy=False), -1, hits=True)
+    out, hits = _shift_by_counts(h, cur.astype(h.dtype, copy=False), -1, tops, hits=True)
     if hits.size == 0:
         return out
     # C order groups the hits by row; a stable sort of the few regroups them

@@ -106,8 +106,8 @@ def matrix_case(draw, max_dim=24, max_points=6, max_perms=5):
         mask = draw(st.lists(st.booleans(), min_size=h.size, max_size=h.size))
         h[np.array(mask).reshape(h.shape)] = 0
     elif mode == "arbitrary":
-        # Values above dim hold hashes above every batch rank of their column.
-        values = draw(st.lists(st.integers(0, dim + 3), min_size=h.size, max_size=h.size))
+        # Any rank of the frame or EMPTY: the kernels refuse a hash above dim.
+        values = draw(st.lists(st.integers(0, dim), min_size=h.size, max_size=h.size))
         h = np.array(values, dtype=np.int32).reshape(h.shape)
     return points, perms, positions, bits, h, mode == "true"
 
@@ -468,7 +468,7 @@ class TestInt32RanksAndHashes:
                 drop_hash_matrix(h, perms, dele, pack),
                 engine.apply_sequential_insert(h, perms, ins),
                 engine.apply_sequential_delete(h, pack, perms, dele),
-                sketch._batch_ranks(h, perms, ins),
+                sketch._batch_ranks(h, perms, ins)[0],
             ]
             for out in outputs:
                 assert out.dtype == np.int32
@@ -488,21 +488,73 @@ class TestInt32RanksAndHashes:
             # near 2**31: the int32 hashes and ranks must meet it widened. The
             # insertion's two 0-bits shift the largest hash to 2**31 - 1 exactly.
             # Row 1 holds PI7's deleted rank 3, so the delete kernel rescans it.
+            # Such hashes come only from permutations near 2**31 in dimension,
+            # and the kernels refuse them under PI7, so the rule bodies below
+            # the kernels' front take them here, with PI7's batch ranks.
             big = [2**31 - 3, 2**31 - 10, 3 * 2**29, 2**30]
             perms = [PI7] * len(big)
             h = np.array([big, [3, 3, 2**31 - 3, 0]], dtype=np.int32)
+            tops = h.max(axis=0)
             batch = InsertionBatch((2, 5), (0, 0))
-            got = lift_hash_matrix(h, perms, batch)
+            w = np.stack([p.rank[batch.position_array - 1] for p in perms])
+            got = sketch._lift(h, w, batch.one_mask, tops)
             assert got.dtype == np.int32 and got.max() == 2**31 - 1
             assert np.array_equal(got, per_slot_insert(h, perms, batch))
-            assert np.array_equal(engine.apply_sequential_insert(h, perms, batch), got)
             points = [X7, SparseBinaryVector(7, (2, 4))]
             pack = engine.pack_supports(points)
             dele = DeletionBatch((2, 5))
-            got = drop_hash_matrix(h, perms, dele, pack)
+            w = np.sort(w, axis=1)
+            got = sketch._drop(h, w, w, dele.position_array - 1, perms, pack, tops)
             assert got.dtype == np.int32
             assert np.array_equal(got, per_slot_delete(h, points, perms, dele))
-            assert np.array_equal(engine.apply_sequential_delete(h, pack, perms, dele), got)
+
+
+@pytest.mark.parametrize("back_end", BACK_ENDS)
+class TestHashAboveItsDimension:
+    """A hash is a rank of its column's permutation, so every kernel refuses
+    one above that permutation's dimension, as a sketch carries when a lift
+    was left out, rather than shift it past the frame."""
+
+    def test_refused_where_an_int32_hash_would_wrap(self, back_end):
+        h = np.array([[2**31 - 1, 5]], dtype=np.int32)
+        message = "^hash 2147483647 exceeds permutation dimension 7$"
+        with count_back_end(back_end), pytest.raises(ValidationError, match=message):
+            lift_hash_matrix(h, [PI7, PI7], InsertionBatch((1, 2), (0, 0)))
+
+    @pytest.mark.parametrize("rows", [1, 70])
+    def test_refused_by_every_kernel(self, back_end, rows):
+        # Under PI7 the hash 9 would become 10 on this insert and 8 on this delete.
+        h = np.tile(np.array([[5, 9]], dtype=np.int32), (rows, 1))
+        pack = engine.pack_supports([X7] * rows)
+        ins, dele = InsertionBatch((2, 3), (0, 0)), DeletionBatch((1,))
+        calls = [
+            lambda: lift_hash_matrix(h, [PI7, PI7], ins),
+            lambda: drop_hash_matrix(h, [PI7, PI7], dele, pack),
+            lambda: engine.apply_sequential_insert(h, [PI7, PI7], ins),
+            lambda: engine.apply_sequential_delete(h, pack, [PI7, PI7], dele),
+            lambda: update_sketch_insert(Sketch((5, 9)), [PI7, PI7], ins),
+            lambda: update_sketch_delete(Sketch((5, 9)), [PI7, PI7], X7, dele),
+        ]
+        with count_back_end(back_end):
+            for call in calls:
+                with pytest.raises(ValidationError, match="^hash 9 exceeds permutation dimension 7$"):
+                    call()
+
+    def test_a_sketch_under_stale_permutations(self, back_end):
+        # X7's minimum under PI7 is rank 5; three inserted 0-bits below it
+        # shift it to 8, in the frame of PI7 lifted at the same positions.
+        first, later = InsertionBatch((2, 3, 5), (0, 0, 0)), InsertionBatch((1,), (0,))
+        lifted = multiple_lift_perm(PI7, first.positions)
+        x10 = insert_features(X7, first)
+        with count_back_end(back_end):
+            sk = update_sketch_insert(build_sketch(X7, [PI7]), [PI7], first)
+            assert sk.values == (8,)
+            got = update_sketch_insert(sk, [lifted], later)
+            assert got.values == (min_hash(insert_features(x10, later), lift_perm(lifted, 1)),)
+            with pytest.raises(ValidationError, match="^hash 8 exceeds permutation dimension 7$"):
+                update_sketch_insert(sk, [PI7], later)
+            with pytest.raises(ValidationError, match="^hash 8 exceeds permutation dimension 7$"):
+                update_sketch_delete(sk, [PI7], X7, DeletionBatch((1,)))
 
 
 def check_both_rules(h, points, perms, ins, dele, back_end):
@@ -619,7 +671,7 @@ class TestStepTable:
         values = data.draw(st.lists(st.integers(0, top + 3), min_size=k, max_size=3 * k))
         h = np.array(values[: len(values) // k * k], dtype=np.int32).reshape(-1, k)
         with count_back_end("table"):
-            lo, hi = sketch._step_windows(h, w)
+            lo, hi = sketch._step_windows(h, w, h.max(axis=0, initial=0))
         table, base = sketch._step_table(w, lo, hi)
         assert table.size == int((hi - lo + 1).sum())
         for j in range(k):

@@ -143,6 +143,14 @@ class TestParseCheck:
         assert err.startswith(f"error: line {line}: gzip data is cut off")
 
 
+PINNED_LIFT = """source,element,frequency
+lift,1,0.325000
+lift,7,0.358333
+lift,8,0.316667
+# lift: trials=120 max_deviation=0.025000
+"""
+
+
 class TestUniformityCommand:
     def test_reports_frequencies_per_source(self, capsys):
         code, out, _ = run_cli(
@@ -174,6 +182,23 @@ class TestUniformityCommand:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("source", ["random", "drop", "lift"])
+    def test_negative_trials_rejected_by_every_source(self, source, capsys):
+        code, out, err = run_cli(["uniformity", "--source", source, "--trials", "-5"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: need at least 250 trials for a set of 5 elements\n"
+
+    def test_lift_frequencies_are_pinned(self, capsys):
+        # The lift slots are one draw of --trials integers from the stream
+        # [seed, 19]; these are the frequencies that draw gives.
+        code, out, _ = run_cli(
+            ["uniformity", "--source", "lift", "--dim", "12", "--set-size", "3",
+             "--trials", "120", "--seed", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert out == PINNED_LIFT
 
 
 class TestHelp:

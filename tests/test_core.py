@@ -141,7 +141,6 @@ class TestPermutationType:
         p = Permutation([2, 3, 1])
         assert p.dim == 3
         assert p.value_at(2) == 3
-        assert list(p.inverse) == [3, 1, 2]
 
     def test_rejects_non_bijections(self):
         for bad in ([1, 1], [0, 1], [1, 3]):
@@ -504,7 +503,7 @@ ARRAYS = {
     InsertionBatch: lambda b: (b.position_array, b.one_mask, b.landed_ones),
     DeletionBatch: lambda b: (b.position_array,),
     Sketch: lambda sk: (sk.row,),
-    Permutation: lambda p: (p.rank, p.inverse),
+    Permutation: lambda p: (p.rank,),
     SparseBinaryVector: lambda v: (v.support_index(),),
     SupportPack: lambda pack: (pack.flat, pack.lengths, pack.starts),
     PermutationSeed: lambda seed: (),
@@ -533,7 +532,7 @@ FIELDS = {
     InsertionBatch: ("positions", "bits", "position_array", "one_mask", "landed_ones"),
     DeletionBatch: ("positions", "position_array"),
     Sketch: ("values", "row"),
-    Permutation: ("rank", "dim", "inverse"),
+    Permutation: ("rank", "dim"),
     SparseBinaryVector: ("dim", "support"),
     SupportPack: ("count", "dim", "flat", "lengths", "starts"),
     PermutationSeed: ("seed", "index"),
@@ -714,6 +713,38 @@ class TestScalarIntegers:
     def test_refuses_an_integer_out_of_range(self, call, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), insert_one_prob="0.5"),
+                "insert_one_prob '0.5' is not a number",
+            ),
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), insert_one_prob=None),
+                "insert_one_prob None is not a number",
+            ),
+            (lambda: draw_insertion_plan(10, 2, "0.5", 1), "one_prob '0.5' is not a number"),
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), n_features=8),
+                "n_features must be a sequence of batch sizes",
+            ),
+        ],
+        ids=["config-str-prob", "config-none-prob", "plan-str-prob", "config-int-n-features"],
+    )
+    def test_refuses_a_non_number(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_probabilities_share_one_rule(self):
+        config = ExperimentConfig("insert", synthetic=(10, 3, 3), insert_one_prob=np.float32(0.5))
+        assert type(config.insert_one_prob) is float and config.insert_one_prob == 0.5
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValidationError, match=r"^insert_one_prob must lie in \[0, 1\]$"):
+                ExperimentConfig("insert", synthetic=(10, 3, 3), insert_one_prob=bad)
+            with pytest.raises(ValidationError, match=r"^one_prob must lie in \[0, 1\]$"):
+                draw_insertion_plan(10, 2, bad, 1)
 
     def test_numpy_integers_and_bools_pass(self):
         assert lift_hash(3, np.int64(2), np.int64(1)) == 2

@@ -1,5 +1,8 @@
 """Sketch update rules and their exactness against the lifted/dropped oracles."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,9 +25,13 @@ from dynsketch.permgen import (
     multiple_lift_perm,
     random_permutation,
 )
+from dynsketch.bench import engine
 from dynsketch.sketch import (
     build_sketch,
     drop_hash,
+    drop_hash_matrix,
+    lift_hash_matrix,
+    min_hash_matrix,
     lift_hash,
     min_hash,
     multiple_drop_hash,
@@ -226,6 +233,56 @@ class TestDropHash:
         got = drop_hash(old, vector, perm, m)
         narrowed = delete_features(vector, DeletionBatch((m,)))
         assert got == min_hash(narrowed, drop_perm(perm, m))
+
+    def test_deleted_minimum_costs_one_gather_of_the_support(self):
+        # Ranks 1 and d: the new minimum is d, slid down to d - 1, found
+        # without a table of length d beside the ranks.
+        d = 10**6
+        perm = random_permutation(d, PermutationSeed(24))
+        first, last = (int(np.flatnonzero(perm.rank == r)[0]) + 1 for r in (1, d))
+        vector = SparseBinaryVector(d, sorted((first, last)))
+        tracemalloc.start()
+        try:
+            got = drop_hash(1, vector, perm, first)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == d - 1
+        assert peak < 1 << 20
+        assert set(vars(perm)) == {"rank", "dim"}
+
+
+def test_rules_and_kernels_leave_a_permutation_its_two_fields():
+    # Every value sets its fields once: no rule caches a table in a permutation.
+    pi = Permutation([6, 3, 1, 7, 2, 5, 4])
+    ins, dele = InsertionBatch((2, 5), (1, 0)), DeletionBatch((3, 6))
+    pack = engine.pack_supports([X0, SparseBinaryVector(7, (3,))])
+    h = min_hash_matrix([pi, pi], pack)
+    calls = [
+        lambda: pi.value_at(3),
+        lambda: pi.as_tuple(),
+        lambda: min_hash(X0, pi),
+        lambda: partial_min_hash(pi, ins.positions, ins.bits),
+        lambda: multiple_lift_hash(5, pi, ins.positions, ins.bits),
+        # Slot 6 holds X0's minimum, rank 5, so the rule rescans.
+        lambda: drop_hash(5, X0, pi, 6),
+        lambda: multiple_drop_hash(5, X0, pi, dele.positions),
+        lambda: lift_perm(pi, 3),
+        lambda: drop_perm(pi, 3),
+        lambda: multiple_lift_perm(pi, ins.positions),
+        lambda: multiple_drop_perm(pi, dele.positions),
+        lambda: build_sketch(X0, [pi]),
+        lambda: update_sketch_insert(build_sketch(X0, [pi]), [pi], ins),
+        lambda: update_sketch_delete(build_sketch(X0, [pi]), [pi], X0, dele),
+        lambda: lift_hash_matrix(h, [pi, pi], ins),
+        lambda: drop_hash_matrix(h, [pi, pi], dele, pack),
+        lambda: engine.apply_sequential_insert(h, [pi, pi], ins),
+        lambda: engine.apply_sequential_delete(h, pack, [pi, pi], dele),
+        lambda: engine.sketch_matrix(pack, [pi, pi], threads=2),
+    ]
+    for call in calls:
+        call()
+        assert set(vars(pi)) == {"rank", "dim"}
 
 
 class TestMultipleDropHash:
