@@ -76,7 +76,13 @@ class ExperimentConfig:
         for name in ("num_perms", "master_seed", "repetitions", "threads"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.synthetic is not None:
-            synthetic = tuple(_as_int(v, "synthetic") for v in self.synthetic)
+            try:
+                synthetic = tuple(self.synthetic)
+            except TypeError:
+                synthetic = ()
+            if len(synthetic) != 3:
+                raise ValidationError("synthetic must be a (dim, support size, points) triple")
+            synthetic = tuple(_as_int(v, "synthetic") for v in synthetic)
             object.__setattr__(self, "synthetic", synthetic)
         if self.sample_size is not None:
             object.__setattr__(self, "sample_size", _as_int(self.sample_size, "sample_size"))
@@ -94,7 +100,10 @@ class ExperimentConfig:
         )
         if self.master_seed < 0 or self.master_seed > _SEED_MASK:
             raise ValidationError("master_seed must fit in 64 bits")
-        paths = tuple(dict.fromkeys(self.paths))
+        try:
+            paths = tuple(dict.fromkeys(self.paths))
+        except TypeError:  # not iterable, or an entry that cannot be hashed
+            paths = ()
         if not paths or any(p not in PATHS for p in paths):
             raise ValidationError(f"paths must be a non-empty subset of {PATHS}")
         if self.scratch_perms not in SCRATCH_MODES:

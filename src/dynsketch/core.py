@@ -36,6 +36,12 @@ HashValue = int | _EmptyHash
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# Bound once: looking these up on their modules and types at each call is
+# about a tenth of a trusted build.
+_ndarray = np.ndarray
+_new = object.__new__
+_setattr = object.__setattr__
+
 # The largest permutation dimension: ranks 1..dim, and so every hash, are
 # stored as int32.
 _RANK_MAX = 2**31 - 1
@@ -110,14 +116,14 @@ class _Value:
         # self.__dict__ gives each value a dict of its own (248 bytes a vector
         # beside its array, against 96).
         for name, value in fields.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            if isinstance(value, _ndarray):
+                value.setflags(False)  # write=False, passed by position: about half the cost
+            _setattr(self, name, value)
 
     @classmethod
     def _build(cls, **fields):
         """A value of ``cls`` that owns ``fields``, with no check."""
-        value = object.__new__(cls)
+        value = _new(cls)
         value._own(fields)
         return value
 
@@ -188,13 +194,13 @@ class SparseBinaryVector(_Value):
         """Take ownership of a support array that is valid by construction,
         skipping the checks.
 
-        For two trusted callers only. The vector edits build a fresh
-        1-based, strictly increasing int64 support at most ``dim`` from a
-        valid vector and batch. Docword ingest
-        (:func:`dynsketch.ingest.load_docword`) passes each document a slice
-        of one array of range-checked, sorted and deduplicated word ids.
-        The array is made read-only and becomes the vector's
-        :meth:`support_index`.
+        For docword ingest only (:func:`dynsketch.ingest.load_docword`),
+        which passes each document a slice of one array of range-checked,
+        sorted and deduplicated word ids. The array is made read-only and
+        becomes the vector's :meth:`support_index`. The vector edits, which
+        build a fresh 1-based, strictly increasing int64 support at most
+        ``dim`` from a valid vector and batch once per point, call
+        :meth:`_build` themselves.
         """
         return cls._build(dim=dim, _index=support)
 
@@ -389,17 +395,17 @@ class DeletionBatch(_Batch):
         self._own(dict(positions=positions, position_array=_position_array(positions, "position")))
 
 
-def _edit_dim(dim: int) -> int:
-    """The largest dimension an edit touches, checked to fit its int64 arithmetic.
+def _edit_dim(dim: int) -> None:
+    """Refuse a dimension past int64, the width of an edit's arithmetic.
 
-    Every support element and position of an edit is at most this dimension,
-    so nothing the edit computes can wrap or turn into a float.
+    Every support element and position of an edit is at most the largest
+    dimension it touches, so within it nothing the edit computes can wrap or
+    turn into a float.
     """
     if dim > _INT64_MAX:
         raise ValidationError(
             f"dimension {dim} exceeds {_INT64_MAX}, the largest the vector edits take"
         )
-    return dim
 
 
 def insert_features(vector: SparseBinaryVector, batch: InsertionBatch) -> SparseBinaryVector:
@@ -410,31 +416,41 @@ def insert_features(vector: SparseBinaryVector, batch: InsertionBatch) -> Sparse
     ``positions[i] + i`` (0-based i) and contributes to the support iff its
     bit is 1.
     """
-    batch.validate_for_dim(vector.dim)
-    dim = _edit_dim(vector.dim + len(batch))
-    support = vector.support_index()
+    # An edit runs once per point: each check is one comparison, which calls
+    # the check that gives the message only when it fails.
+    if batch.positions[-1] > vector.dim:
+        batch.validate_for_dim(vector.dim)
+    positions = batch.position_array
+    dim = vector.dim + positions.size
+    if dim > _INT64_MAX:
+        _edit_dim(dim)
+    support = vector._index
     # The method form skips np.searchsorted's dispatch; its fresh result
     # takes the shift in place.
-    shifted = batch.position_array.searchsorted(support, "right")
+    shifted = positions.searchsorted(support, "right")
     shifted += support
     if batch.landed_ones.size:
         shifted = np.concatenate((shifted, batch.landed_ones))
-        shifted.sort()
-    return SparseBinaryVector._from_valid(dim, shifted)
+        # Two sorted runs: the stable sort merges them, where the default
+        # sort would not use their order.
+        shifted.sort(kind="stable")
+    return SparseBinaryVector._build(dim=dim, _index=shifted)
 
 
 def delete_features(vector: SparseBinaryVector, batch: DeletionBatch) -> SparseBinaryVector:
     """Remove the batch positions; surviving position j moves left by the
     number of deleted positions below j."""
-    batch.validate_for_dim(vector.dim)
-    _edit_dim(vector.dim)
+    if batch.positions[-1] > vector.dim:
+        batch.validate_for_dim(vector.dim)
+    if vector.dim > _INT64_MAX:
+        _edit_dim(vector.dim)
     positions = batch.position_array
-    support = vector.support_index()
+    support = vector._index
     below = positions.searchsorted(support)
     # A support element above every position clips to the last one and is kept.
     kept = positions.take(below, mode="clip") != support
     shifted = np.subtract(support, below, out=below)
-    return SparseBinaryVector._from_valid(vector.dim - len(batch), shifted[kept])
+    return SparseBinaryVector._build(dim=vector.dim - positions.size, _index=shifted[kept])
 
 
 def _segment_starts(sizes: np.ndarray) -> np.ndarray:
@@ -518,8 +534,8 @@ def pack_supports(vectors) -> SupportPack:
     dim = vectors[0].dim
     if any(v.dim != dim for v in vectors):
         raise ValidationError("all points must share one dimension")
-    supports = [v.support_index() for v in vectors]
-    lengths = np.fromiter((s.size for s in supports), dtype=np.int64, count=len(supports))
+    supports = [v._index for v in vectors]
+    lengths = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
     flat = np.concatenate(supports)
     flat -= 1
     return SupportPack._from_valid(dim, flat, lengths)

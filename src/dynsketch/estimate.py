@@ -118,7 +118,8 @@ def _row_blocks(p: int):
     lo = start = 0
     while lo < p - 1:
         hi = min(p - 1, lo + max(1, _BLOCK_ENTRIES // (p - lo)))
-        upper = np.arange(p - lo) > np.arange(hi - lo)[:, None]
+        # np.tri compares narrow integers, where np.arange gives int64.
+        upper = ~np.tri(hi - lo, p - lo, 0, dtype=bool)
         stop = start + (hi - lo) * (2 * p - lo - hi - 1) // 2
         yield lo, slice(start, stop), upper
         lo, start = hi, stop

@@ -418,13 +418,16 @@ def _table_counts(h, w, sign, hits, lo, hi):
 
 def _search_counts(h, w, sign, tops, hits):
     """:func:`_shift_by_counts` from one search of every lifted hash in all
-    columns' lifted ranks. The lifts pass int32, so the queries are int64;
-    the counts land in an output of h's dtype."""
+    columns' lifted ranks. The lifts pass int32, so ``h`` is widened once to
+    int64 for the queries, and the counts are narrowed once to h's dtype, so
+    each pass runs in one width."""
     top = max(int(tops.max(initial=0)), int(w.max(initial=0)))
     lifted, offsets = _lifted_ranks(w, top)
     # Queries go column by column, so consecutive searches end among the
-    # same column's ranks, which stay in cache.
-    query = h.T + offsets[:, None]
+    # same column's ranks, which stay in cache; laid out in that order, they
+    # reach the search without another copy.
+    query = h.T.astype(np.int64, order="C")
+    query += offsets[:, None]
     idx = np.searchsorted(lifted, query, side="right")
     # idx minus the n entries of each earlier column is the count.
     base = np.arange(w.shape[0], dtype=np.int64) * w.shape[1]
@@ -436,8 +439,8 @@ def _search_counts(h, w, sign, tops, hits):
         hit = np.flatnonzero((lifted.take(idx) == query).T)
         base -= 1
     idx -= base[:, None]
-    out = np.empty_like(h)
-    (np.add if sign > 0 else np.subtract)(h, idx.T, out=out)
+    out = idx.T.astype(h.dtype, order="C")
+    (np.add if sign > 0 else np.subtract)(h, out, out=out)
     return out, hit
 
 

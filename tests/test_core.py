@@ -26,7 +26,7 @@ from dynsketch.ingest import Corpus, sample_corpus
 from dynsketch.permgen import PermutationSeed, drop_perm, lift_perm, random_permutation
 from dynsketch.sketch import drop_hash, lift_hash
 from dynsketch.bench import engine
-from dynsketch.bench.experiment import ExperimentConfig, run_experiment
+from dynsketch.bench.experiment import PATHS, ExperimentConfig, run_experiment
 from dynsketch.bench.synthetic import synthetic_corpus
 from dynsketch.bench.workload import draw_deletion_plan, draw_insertion_plan
 from _reference import delete_features_bisect, insert_features_bisect
@@ -34,6 +34,10 @@ from _reference import delete_features_bisect, insert_features_bisect
 
 def vec(*bits):
     return SparseBinaryVector.from_dense(bits)
+
+
+def edit_dim_message(dim):
+    return f"dimension {dim} exceeds 9223372036854775807, the largest the vector edits take"
 
 
 def threaded_sketch(threads):
@@ -430,10 +434,45 @@ class TestEditsMatchBisectOracle:
 
     def test_dimensions_past_int64_are_rejected(self):
         # The oracles would compute these with Python ints; the int64 edits refuse them.
-        with pytest.raises(ValidationError, match="exceeds 9223372036854775807"):
-            insert_features(SparseBinaryVector(2**63 - 1, (5,)), InsertionBatch((1,), (1,)))
-        with pytest.raises(ValidationError, match="exceeds 9223372036854775807"):
-            delete_features(SparseBinaryVector(2**64, (5,)), DeletionBatch((2**63,)))
+        widened = SparseBinaryVector(2**63 - 1, (5,)), InsertionBatch((1,), (1,))
+        with pytest.raises(ValidationError, match=f"^{re.escape(edit_dim_message(2**63))}$"):
+            insert_features(*widened)
+        # The batch fits int64, so the refusal is the edit's own.
+        wide = SparseBinaryVector(2**64, (5,)), DeletionBatch((2**63 - 1,))
+        with pytest.raises(ValidationError, match=f"^{re.escape(edit_dim_message(2**64))}$"):
+            delete_features(*wide)
+
+    @pytest.mark.parametrize(
+        "edit, vector, batch, expected",
+        [
+            (
+                insert_features, SparseBinaryVector(5, (2, 5)), InsertionBatch((2, 6), (0, 1)),
+                "position 6 out of range for dimension 5",
+            ),
+            (
+                delete_features, SparseBinaryVector(5, (2, 5)), DeletionBatch((2, 6)),
+                "position 6 out of range for dimension 5",
+            ),
+            (
+                insert_features, SparseBinaryVector(2**63 - 2, (5, 2**63 - 2)), InsertionBatch((1,), (1,)),
+                SparseBinaryVector(2**63 - 1, (1, 6, 2**63 - 1)),
+            ),
+            (
+                insert_features, SparseBinaryVector(2**63 - 2, (5,)), InsertionBatch((1, 3), (0, 1)),
+                edit_dim_message(2**63),
+            ),
+        ],
+        ids=["insert-dim-plus-one", "delete-dim-plus-one", "insert-to-int64-max", "insert-past-int64"],
+    )
+    def test_each_check_at_its_edge(self, edit, vector, batch, expected):
+        """Each edit check is one comparison that calls the batch's or the
+        dimension's check only to raise: its message, or the result, at the
+        first value past each bound and at the bound."""
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+                edit(vector, batch)
+        else:
+            assert_same_vector(edit(vector, batch), expected)
 
 
 def assert_vector_contract(v):
@@ -730,8 +769,23 @@ class TestScalarIntegers:
                 lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), n_features=8),
                 "n_features must be a sequence of batch sizes",
             ),
+            (
+                lambda: ExperimentConfig("insert", synthetic=5),
+                "synthetic must be a (dim, support size, points) triple",
+            ),
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10, 3)),
+                "synthetic must be a (dim, support size, points) triple",
+            ),
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), paths=3),
+                f"paths must be a non-empty subset of {PATHS}",
+            ),
         ],
-        ids=["config-str-prob", "config-none-prob", "plan-str-prob", "config-int-n-features"],
+        ids=[
+            "config-str-prob", "config-none-prob", "plan-str-prob", "config-int-n-features",
+            "config-int-synthetic", "config-pair-synthetic", "config-int-paths",
+        ],
     )
     def test_refuses_a_non_number(self, call, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

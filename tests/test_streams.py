@@ -4,7 +4,11 @@ Each step updates the hash matrix with ``lift_hash_matrix`` or
 ``drop_hash_matrix``, carries the permutations with ``multiple_lift_perm`` or
 ``multiple_drop_perm``, and edits the points with ``insert_features`` or
 ``delete_features``. After every step the matrix must equal re-sketching the
-edited points under the carried permutations, slot for slot. Seeded streams
+edited points under the carried permutations, slot for slot; every edited
+point, the pack and every carried permutation, built by the trusted
+builders, must equal its rebuild through the checked constructor, with
+read-only arrays; and the all-pairs estimates must equal the loop oracle's
+bit for bit. Seeded streams
 run fixed scenarios; ``MixedStream`` lets hypothesis choose the batches, and
 runs once under each of the kernels' count back-ends. The permutations a
 stream carries must also stay minwise uniform, which one test measures over
@@ -26,12 +30,14 @@ from hypothesis.stateful import (
 from dynsketch.core import (
     DeletionBatch,
     InsertionBatch,
+    Permutation,
     SparseBinaryVector,
+    SupportPack,
     delete_features,
     insert_features,
     pack_supports,
 )
-from dynsketch.estimate import minwise_uniformity_test
+from dynsketch.estimate import minwise_uniformity_test, pairwise_estimates
 from dynsketch.permgen import (
     PermutationSeed,
     multiple_drop_perm,
@@ -41,6 +47,7 @@ from dynsketch.permgen import (
 from dynsketch.sketch import drop_hash_matrix, lift_hash_matrix, min_hash_matrix
 
 from _back_ends import BACK_ENDS, count_back_end, rescan_budget
+from _reference import pairwise_estimates_loops
 
 # Criterion 5's tolerance for lifted permutations (tests/test_acceptance.py).
 LIFT_UNIFORMITY_TOLERANCE = 0.02
@@ -73,8 +80,23 @@ class Stream:
         self.check()
 
     def check(self) -> None:
+        pack = pack_supports(self.points)
         assert self.h.dtype == np.int32
-        assert np.array_equal(self.h, min_hash_matrix(self.perms, pack_supports(self.points)))
+        assert np.array_equal(self.h, min_hash_matrix(self.perms, pack))
+        rebuilt = [SparseBinaryVector(v.dim, v.support) for v in self.points]
+        rebuilt.append(SupportPack(pack.count, pack.dim, pack.flat, pack.lengths))
+        rebuilt += [Permutation(p.rank) for p in self.perms]
+        for trusted, checked in zip([*self.points, pack, *self.perms], rebuilt, strict=True):
+            assert trusted == checked
+            assert_read_only(trusted)
+            assert_read_only(checked)
+        loops = np.array(pairwise_estimates_loops(self.h.tolist()), dtype=np.float64)
+        assert pairwise_estimates(self.h).tobytes() == loops.tobytes()
+
+
+def assert_read_only(value) -> None:
+    arrays = [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def random_points(rng, count, dim, density):
