@@ -87,7 +87,6 @@ def _add_experiment_flags(sub):
         help="scratch baseline: fresh permutations (default) or lifted/dropped lineage",
     )
     sub.add_argument("--reps", type=int, default=5, help="timed repetitions (after one warm-up)")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     sub.add_argument("--format", choices=("csv", "human"), default="csv")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -115,7 +114,6 @@ def build_parser() -> _Parser:
     uni.add_argument("--set-size", type=int, default=5)
     uni.add_argument("--trials", type=int, default=200_000)
     uni.add_argument("--seed", type=int, default=0)
-    uni.add_argument("--fixed-r", type=int, default=None, help="slot used by the drop source")
     uni.add_argument("--out", default=None)
 
     chk = subs.add_parser("parse-check", help="parse a docword file and report its shape")
@@ -134,19 +132,11 @@ def _experiment_command(args) -> str:
         paths=tuple(p.strip() for p in args.paths.split(",") if p.strip()),
         scratch_perms=args.scratch_perms,
         repetitions=args.reps,
-        threads=args.threads,
         data=args.data,
         synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
         sample_size=args.sample,
     )
     return emit_report(run_experiment(config), args.format)
-
-
-def _uniformity_defaults(source: str) -> tuple[int, int]:
-    # dimension before lift/drop, and the fixed drop slot
-    if source == "lift":
-        return 256, 1
-    return 32, 7
 
 
 def _uniformity_command(args) -> str:
@@ -160,8 +150,7 @@ def _uniformity_command(args) -> str:
     lines = ["source,element,frequency"]
     summary = []
     for source in sources:
-        default_dim, default_r = _uniformity_defaults(source)
-        dim = args.dim if args.dim is not None else default_dim
+        dim = args.dim if args.dim is not None else (256 if source == "lift" else 32)
         if dim < args.set_size + 2:
             raise ValidationError("--dim too small for the requested set size")
         out_dim = dim + 1 if source == "lift" else (dim - 1 if source == "drop" else dim)
@@ -174,11 +163,9 @@ def _uniformity_command(args) -> str:
         if source == "random":
             perm_source = lambda t: random_permutation(dim, PermutationSeed(args.seed, t))
         elif source == "drop":
-            fixed_r = args.fixed_r if args.fixed_r is not None else default_r
-            if not 1 <= fixed_r <= dim:
-                raise ValidationError(f"--fixed-r must lie in 1..{dim}")
+            # Slot 7 goes, or the last slot of a smaller dimension.
             perm_source = lambda t: drop_perm(
-                random_permutation(dim, PermutationSeed(args.seed, t)), fixed_r
+                random_permutation(dim, PermutationSeed(args.seed, t)), min(7, dim)
             )
         else:
             # A negative trial count draws no slot, so that the test below

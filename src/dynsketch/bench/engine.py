@@ -7,18 +7,16 @@ and the batch update paths are the K-vectorized kernels of
 1-row calls; ``min_hash`` and the per-slot rules there stay the scalar API
 and the tests' reference. The sequential paths the experiment times against
 the batch rules fold the kernels' own rule bodies over the batch one entry
-at a time, on the same int32 matrices. This module adds those folds, the
-column-chunked threading of the base sketch and the matrices' digest, which
-reads their int64 widening so that it does not move with the storage width,
-and re-exports ``pack_supports`` and the all-pairs truth and estimates of
-:mod:`dynsketch.core` and :mod:`dynsketch.estimate` for the runner and the
-benchmark.
+at a time, on the same int32 matrices. This module adds those folds and the
+matrices' digest, which reads their int64 widening so that it does not move
+with the storage width, and re-exports ``pack_supports`` and the all-pairs
+truth and estimates of :mod:`dynsketch.core` and :mod:`dynsketch.estimate`
+for the runner and the benchmark.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,19 +31,15 @@ from dynsketch.sketch import (
 
 def sketch_matrix(pack: SupportPack, perms, threads: int = 1) -> np.ndarray:
     """(points x perms) matrix of min ranks, 0 for an empty support: the pack's
-    :func:`dynsketch.sketch.min_hash_matrix`, run on up to ``threads``
-    contiguous chunks of the permutations at once."""
-    if _as_int(threads, "threads") < 1:
-        raise ValidationError("threads must be at least 1")
-    perms = list(perms)
-    if threads == 1 or len(perms) <= 1:
-        return min_hash_matrix(perms, pack)
-    size = -(-len(perms) // threads)
-    chunks = [perms[a : a + size] for a in range(0, len(perms), size)]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        # map yields in chunk order, so the first bad permutation raises.
-        parts = pool.map(lambda c: min_hash_matrix(c, pack), chunks)
-        return np.hstack(list(parts))
+    :func:`dynsketch.sketch.min_hash_matrix`.
+
+    ``threads`` takes the value 1 alone. It stays only because the benchmark
+    passes ``threads=1``; ROADMAP item 9's benchmark revision drops that
+    argument and then this parameter.
+    """
+    if _as_int(threads, "threads") != 1:
+        raise ValidationError("threads must be 1")
+    return min_hash_matrix(perms, pack)
 
 
 def apply_batch_insert(h: np.ndarray, perms, batch: InsertionBatch) -> np.ndarray:

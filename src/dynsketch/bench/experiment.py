@@ -65,7 +65,6 @@ class ExperimentConfig:
     paths: tuple[str, ...] = PATHS
     scratch_perms: str = "fresh"
     repetitions: int = 5
-    threads: int = 1
     data: str | None = None
     synthetic: tuple[int, int, int] | None = None  # dim, support size, points
     sample_size: int | None = None
@@ -73,7 +72,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
-        for name in ("num_perms", "master_seed", "repetitions", "threads"):
+        for name in ("num_perms", "master_seed", "repetitions"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.synthetic is not None:
             try:
@@ -110,8 +109,6 @@ class ExperimentConfig:
             raise ValidationError(f"scratch_perms must be one of {SCRATCH_MODES}")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be at least 1")
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
         if (self.data is None) == (self.synthetic is None):
             raise ValidationError("provide exactly one of data or synthetic")
         if self.synthetic is not None:
@@ -190,7 +187,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         random_permutation(dim, PermutationSeed(cfg.master_seed, i))
         for i in range(cfg.num_perms)
     ]
-    base = engine.sketch_matrix(pack, perms, cfg.threads)
+    base = engine.sketch_matrix(pack, perms)
 
     max_n = cfg.n_features[-1]
     if cfg.mode == "insert":
@@ -298,7 +295,7 @@ def _runners(cfg, pack, epack, perms, base, batch):
     return {
         "sequential": sequential,
         "batch": batch_rule,
-        "scratch": lambda: engine.sketch_matrix(epack, scratch_perms(), cfg.threads),
+        "scratch": lambda: engine.sketch_matrix(epack, scratch_perms()),
     }
 
 

@@ -15,15 +15,19 @@ _SYNTHETIC_STREAM = 11
 
 def synthetic_corpus(dim: int, support_size: int, num_points: int, seed: int) -> Corpus:
     """Points with supports sampled uniformly without replacement at a fixed size."""
-    if _as_int(dim, "dimension") < 1:
+    dim = _as_int(dim, "dimension")
+    if dim < 1:
         raise ValidationError("dimension must be at least 1")
-    if not 0 <= _as_int(support_size, "support size") <= dim:
+    support_size = _as_int(support_size, "support size")
+    if not 0 <= support_size <= dim:
         raise ValidationError(
             f"support size {support_size} out of range 0..{dim}"
         )
-    if _as_int(num_points, "point count") < 1:
+    num_points = _as_int(num_points, "point count")
+    if num_points < 1:
         raise ValidationError("need at least one point")
-    if _as_int(seed, "seed") < 0:
+    seed = _as_int(seed, "seed")
+    if seed < 0:
         raise ValidationError("seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SYNTHETIC_STREAM]))
     vectors = []

@@ -39,7 +39,8 @@ class WorkloadPlan:
     bits: tuple[int, ...]       # aligned with positions; all 0 for deletions
 
     def workload(self, n: int) -> Workload:
-        if not 1 <= _as_int(n, "batch size") <= len(self.positions):
+        n = _as_int(n, "batch size")
+        if not 1 <= n <= len(self.positions):
             raise ValidationError(
                 f"batch size {n} out of range 1..{len(self.positions)}"
             )
@@ -77,7 +78,7 @@ def _as_probability(value, what: str) -> float:
 
 def draw_insertion_plan(dim: int, max_n: int, one_prob: float, seed: int) -> WorkloadPlan:
     """Distinct positions uniform over {1..dim}, each bit 1 with ``one_prob``."""
-    _check(dim, max_n, seed)
+    dim, max_n, seed = _check(dim, max_n, seed)
     one_prob = _as_probability(one_prob, "one_prob")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _WORKLOAD_STREAM]))
     positions = rng.choice(dim, size=max_n, replace=False) + 1
@@ -92,7 +93,7 @@ def draw_insertion_plan(dim: int, max_n: int, one_prob: float, seed: int) -> Wor
 
 def draw_deletion_plan(dim: int, max_n: int, seed: int) -> WorkloadPlan:
     """Distinct positions uniform over {1..dim}, drawn without replacement."""
-    _check(dim, max_n, seed)
+    dim, max_n, seed = _check(dim, max_n, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _WORKLOAD_STREAM]))
     positions = rng.choice(dim, size=max_n, replace=False) + 1
     return WorkloadPlan(
@@ -100,10 +101,15 @@ def draw_deletion_plan(dim: int, max_n: int, seed: int) -> WorkloadPlan:
     )
 
 
-def _check(dim: int, max_n: int, seed: int) -> None:
-    if _as_int(dim, "dimension") < 1:
+def _check(dim: int, max_n: int, seed: int) -> tuple[int, int, int]:
+    """The plan's arguments, checked, as Python ints."""
+    dim = _as_int(dim, "dimension")
+    if dim < 1:
         raise ValidationError("dimension must be at least 1")
-    if not 1 <= _as_int(max_n, "batch size") <= dim:
+    max_n = _as_int(max_n, "batch size")
+    if not 1 <= max_n <= dim:
         raise ValidationError(f"batch size {max_n} out of range 1..{dim}")
-    if _as_int(seed, "seed") < 0:
+    seed = _as_int(seed, "seed")
+    if seed < 0:
         raise ValidationError("seed must be non-negative")
+    return dim, max_n, seed

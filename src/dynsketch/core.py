@@ -6,7 +6,7 @@ position. The distinguished hash value EMPTY marks the sketch slot of a
 vector with no support.
 
 Everything here is an immutable value; the operations are pure functions and
-safe to call concurrently.
+safe to call from several threads at once.
 """
 
 from __future__ import annotations

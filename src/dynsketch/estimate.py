@@ -155,7 +155,7 @@ def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int
         v = rows[_members(pos + 1, later)]
         np.add.at(out, base[np.minimum(u, v)] + np.maximum(u, v), 1.0)
     big = np.flatnonzero(sizes >= split)
-    width = max(1, _BLOCK_ENTRIES // p)
+    width = max(1, _BLOCK_ENTRIES // max(p, 1))  # an empty pack has p = 0
     for a in range(0, big.size, width):
         g = big[a : a + width]
         # float32 counts are exact up to 2**24 groups and halve the product.
@@ -234,7 +234,8 @@ def minwise_uniformity_test(perm_source, support_set, trials: int) -> Uniformity
     elements = tuple(sorted({_as_int(u, "support element") for u in support_set}))
     if len(elements) <= 1:
         raise ValidationError("support set must contain at least two elements")
-    if _as_int(trials, "trials") < 10 * len(elements) ** 2:
+    trials = _as_int(trials, "trials")
+    if trials < 10 * len(elements) ** 2:
         raise ValidationError(
             f"need at least {10 * len(elements) ** 2} trials for a set of "
             f"{len(elements)} elements"

@@ -41,18 +41,20 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Corpus:
-    """A parsed collection of equal-dimension sparse binary vectors."""
+    """A parsed collection of equal-dimension sparse binary vectors; both
+    sizes are stored as Python ints."""
 
     num_docs: int
     vocab_size: int
     vectors: tuple[SparseBinaryVector, ...]
 
     def __post_init__(self):
-        if len(self.vectors) != _as_int(self.num_docs, "num_docs"):
+        for name in ("num_docs", "vocab_size"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        if len(self.vectors) != self.num_docs:
             raise ValidationError(
                 f"corpus has {len(self.vectors)} vectors but num_docs={self.num_docs}"
             )
-        _as_int(self.vocab_size, "vocab_size")
         for v in self.vectors:
             if v.dim != self.vocab_size:
                 raise ValidationError(
@@ -309,7 +311,8 @@ def write_docword(corpus: Corpus, stream) -> None:
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
     """Uniform sample of n documents without replacement, in document order."""
-    if _as_int(n, "sample size") < 1:
+    n = _as_int(n, "sample size")
+    if n < 1:
         raise ValidationError("sample size must be at least 1")
     if n > corpus.num_docs:
         raise ValidationError(

@@ -76,7 +76,8 @@ def random_permutation(d: int, seed: PermutationSeed) -> Permutation:
     int64 path, which fixes the order for a seed; the ranks are narrowed to
     int32 as 1 is added.
     """
-    if _as_int(d, "dimension") < 1:
+    d = _as_int(d, "dimension")
+    if d < 1:
         raise ValidationError("dimension must be at least 1")
     _check_rank_dim(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed._entropy()))

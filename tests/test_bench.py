@@ -66,14 +66,6 @@ class TestEngineMatchesContracts:
         for i, point in enumerate(points):
             assert row_to_sketch(matrix[i]) == build_sketch(point, perms)
 
-    def test_threaded_sketch_matrix_agrees(self, small_world):
-        _, points, perms = small_world
-        pack = engine.pack_supports(points)
-        assert np.array_equal(
-            engine.sketch_matrix(pack, perms, threads=1),
-            engine.sketch_matrix(pack, perms, threads=4),
-        )
-
     def test_batch_insert_matches_per_slot_rule(self, small_world):
         dim, points, perms = small_world
         pack = engine.pack_supports(points)

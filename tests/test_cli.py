@@ -9,6 +9,8 @@ import zlib
 import pytest
 
 from dynsketch.bench.cli import build_parser, main
+from dynsketch.estimate import minwise_uniformity_test
+from dynsketch.permgen import PermutationSeed, drop_perm, random_permutation
 
 
 def run_cli(argv, capsys):
@@ -103,9 +105,19 @@ class TestInsertDeleteCommands:
         assert code == 2
         assert "error:" in err
 
-    def test_threads_default_is_one(self):
-        for mode in ("insert", "delete"):
-            assert build_parser().parse_args([mode, "--synthetic", "30,5,8"]).threads == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["insert", "--synthetic", "30,5,8", "--threads", "2"],
+            ["delete", "--synthetic", "30,5,8", "--threads", "2"],
+            ["uniformity", "--source", "drop", "--fixed-r", "3"],
+        ],
+        ids=["insert-threads", "delete-threads", "uniformity-fixed-r"],
+    )
+    def test_retired_flags_exit_1(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 class TestParseCheck:
@@ -188,6 +200,23 @@ class TestUniformityCommand:
         code, out, err = run_cli(["uniformity", "--source", source, "--trials", "-5"], capsys)
         assert code == 1 and out == ""
         assert err == "error: need at least 250 trials for a set of 5 elements\n"
+
+    @pytest.mark.parametrize("dim", [4, 5, 6, 7, 12])
+    def test_drop_source_removes_slot_7_or_the_last_slot(self, dim, capsys):
+        code, out, err = run_cli(
+            ["uniformity", "--source", "drop", "--dim", str(dim), "--set-size", "2",
+             "--trials", "200"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        support = [int(element) for _, element, _ in rows]
+        want = minwise_uniformity_test(
+            lambda t: drop_perm(random_permutation(dim, PermutationSeed(0, t)), min(7, dim)),
+            support,
+            200,
+        )
+        assert [f for *_, f in rows] == [f"{want.frequencies[u]:.6f}" for u in support]
 
     def test_lift_frequencies_are_pinned(self, capsys):
         # The lift slots are one draw of --trials integers from the stream

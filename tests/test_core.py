@@ -41,7 +41,8 @@ def edit_dim_message(dim):
 
 
 def threaded_sketch(threads):
-    """``engine.sketch_matrix`` of a two-point pack under two permutations."""
+    """``engine.sketch_matrix`` of a two-point pack under two permutations,
+    passed ``threads``, which takes the value 1 alone."""
     perms = [random_permutation(5, PermutationSeed(1, j)) for j in range(2)]
     return engine.sketch_matrix(pack_supports([vec(1, 0, 1, 0, 0), vec(0, 0, 0, 1, 1)]), perms, threads)
 
@@ -695,10 +696,6 @@ class TestScalarIntegers:
                 "repetitions 2.5 is not an integer",
             ),
             (
-                lambda: ExperimentConfig("insert", threads="5", synthetic=(10, 3, 3)),
-                "threads '5' is not an integer",
-            ),
-            (
                 lambda: ExperimentConfig("insert", synthetic=(10.5, 3, 3)),
                 "synthetic 10.5 is not an integer",
             ),
@@ -727,7 +724,7 @@ class TestScalarIntegers:
             "sample-float-n", "sample-str-seed",
             "uniformity-float-set", "uniformity-float-trials", "uniformity-str-trials",
             "config-float-perms", "config-npfloat-perms", "config-float-n", "config-str-seed",
-            "config-float-reps", "config-str-threads", "config-float-synthetic",
+            "config-float-reps", "config-float-synthetic",
             "config-float-sample",
             "synthetic-float-dim", "synthetic-float-support", "synthetic-float-points",
             "synthetic-str-seed",
@@ -743,11 +740,15 @@ class TestScalarIntegers:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: threaded_sketch(0), "threads must be at least 1"),
-            (lambda: threaded_sketch(-3), "threads must be at least 1"),
+            (lambda: threaded_sketch(0), "threads must be 1"),
+            (lambda: threaded_sketch(-3), "threads must be 1"),
+            (lambda: threaded_sketch(2), "threads must be 1"),
             (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 2, -1), "seed must be non-negative"),
         ],
-        ids=["sketch-zero-threads", "sketch-negative-threads", "sample-negative-seed"],
+        ids=[
+            "sketch-zero-threads", "sketch-negative-threads", "sketch-two-threads",
+            "sample-negative-seed",
+        ],
     )
     def test_refuses_an_integer_out_of_range(self, call, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -819,11 +820,11 @@ class TestScalarIntegers:
             perms, {1, 4}, 100
         )
         config = ExperimentConfig(
-            "insert", i64(4), (i64(2),), master_seed=i64(3), repetitions=i64(1), threads=i64(1),
+            "insert", i64(4), (i64(2),), master_seed=i64(3), repetitions=i64(1),
             synthetic=(i64(30), i64(5), i64(8)), sample_size=i64(6),
         )
         assert config == ExperimentConfig(
-            "insert", 4, (2,), master_seed=3, repetitions=1, threads=1, synthetic=(30, 5, 8),
+            "insert", 4, (2,), master_seed=3, repetitions=1, synthetic=(30, 5, 8),
             sample_size=6,
         )
         assert type(config.master_seed) is int and run_experiment(config).results
@@ -831,4 +832,62 @@ class TestScalarIntegers:
         plan = draw_insertion_plan(i64(50), i64(8), 0.5, i64(3))
         assert plan == draw_insertion_plan(50, 8, 0.5, 3)
         assert plan.workload(i64(4)) == plan.workload(4)
-        assert np.array_equal(threaded_sketch(i64(2)), threaded_sketch(1))
+        assert np.array_equal(threaded_sketch(i64(1)), threaded_sketch(1))
+
+    @pytest.mark.parametrize(
+        "call, plain, ints",
+        [
+            (
+                lambda: random_permutation(True, PermutationSeed(1)),
+                lambda: random_permutation(1, PermutationSeed(1)),
+                ("dim",),
+            ),
+            (
+                lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), True, 0),
+                lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 1, 0),
+                ("num_docs", "vocab_size"),
+            ),
+            (
+                lambda: Corpus(np.int8(1), np.uint16(5), (SparseBinaryVector(5, (2,)),)),
+                lambda: Corpus(1, 5, (SparseBinaryVector(5, (2,)),)),
+                ("num_docs", "vocab_size"),
+            ),
+            (
+                lambda: minwise_uniformity_test(
+                    lambda t: random_permutation(8, PermutationSeed(0, t)), {1, 4}, np.int16(100)
+                ),
+                lambda: minwise_uniformity_test(
+                    lambda t: random_permutation(8, PermutationSeed(0, t)), {1, 4}, 100
+                ),
+                ("trials",),
+            ),
+            (
+                lambda: synthetic_corpus(np.int8(10), np.int8(2), np.int8(2), np.int8(0)),
+                lambda: synthetic_corpus(10, 2, 2, 0),
+                ("num_docs", "vocab_size"),
+            ),
+            (
+                lambda: synthetic_corpus(True, True, True, False),
+                lambda: synthetic_corpus(1, 1, 1, 0),
+                ("num_docs", "vocab_size"),
+            ),
+            (
+                lambda: draw_insertion_plan(True, True, 0.5, False),
+                lambda: draw_insertion_plan(1, 1, 0.5, 0),
+                ("dim",),
+            ),
+            (
+                lambda: draw_deletion_plan(np.int8(50), np.int8(8), np.int8(3)),
+                lambda: draw_deletion_plan(50, 8, 3),
+                ("dim",),
+            ),
+        ],
+        ids=[
+            "perm-bool-dim", "sample-bool-n", "corpus-numpy-sizes", "uniformity-numpy-trials",
+            "synthetic-numpy", "synthetic-bool", "insert-plan-bool", "delete-plan-numpy",
+        ],
+    )
+    def test_checked_integers_are_the_ones_used(self, call, plain, ints):
+        got = call()
+        assert got == plain()
+        assert all(type(getattr(got, name)) is int for name in ints)

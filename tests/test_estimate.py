@@ -14,6 +14,7 @@ from dynsketch.core import (
     Permutation,
     Sketch,
     SparseBinaryVector,
+    SupportPack,
     ValidationError,
     delete_features,
 )
@@ -23,6 +24,7 @@ from dynsketch.estimate import (
     jaccard_true,
     minwise_uniformity_test,
     pairwise_estimates,
+    pairwise_true_jaccard,
     rmse,
 )
 from dynsketch.permgen import PermutationSeed, random_permutation
@@ -153,6 +155,18 @@ class TestEstimatesAreDtypeBlind:
         wide = h.astype(np.int64)
         assert pairwise_estimates(h).tobytes() == pairwise_estimates(wide).tobytes()
         assert sketch_digest(h) == sketch_digest(wide)
+
+
+class TestFewerThanTwoPoints:
+    """No pair: the all-pairs truth and estimates are empty condensed arrays."""
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_truth_and_estimates_are_empty(self, p):
+        jac, both_empty = pairwise_true_jaccard(SupportPack(p, 5, [2] * p, [1] * p))
+        assert jac.dtype == np.float64 and both_empty.dtype == bool
+        assert jac.shape == both_empty.shape == (0,)
+        est = pairwise_estimates(np.ones((p, 4), dtype=np.int32))
+        assert est.dtype == np.float64 and est.shape == (0,)
 
 
 class TestRmse:

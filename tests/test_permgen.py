@@ -1,6 +1,7 @@
 """Permutation generation and the lift/drop constructions."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -540,3 +541,57 @@ class TestSeedsNameOneStream:
             PermutationSeed(2**64)
         with pytest.raises(ValidationError, match=r"^index 4294967296 must be below 2\*\*32$"):
             PermutationSeed(0, 2**32)
+
+
+class TestScopeOfTheMinwiseClaim:
+    """Where the lineage maps keep min-wise independence, exactly.
+
+    A dropped permutation stays min-wise uniform on every set of its frame.
+    A lifted one does too, except on a set holding an inserted slot s and
+    slot s + 1: the inserted element takes the rank its displaced neighbour
+    held, and the neighbour the next one up, so s + 1 never wins there.
+    """
+
+    @pytest.mark.parametrize("d, lift_sets, skewed_lift_sets, drop_sets", [
+        (3, 111, 54, 3), (4, 446, 200, 22), (5, 1485, 640, 95),
+    ])
+    def test_argmin_counts_over_all_of_s_d(self, d, lift_sets, skewed_lift_sets, drop_sets):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
+        seen = {"lift": 0, "skewed": 0, "drop": 0}
+        for n in (1, 2):
+            for batch in itertools.combinations(range(1, d + 1), n):
+                # A drop inserts nothing, so only a lift has landed slots.
+                inserted = {p + i for i, p in enumerate(batch)}
+                for carry, kind, landed in (
+                    (multiple_lift_perm, "lift", inserted), (multiple_drop_perm, "drop", set())
+                ):
+                    ranks = np.array([carry(p, batch).rank for p in perms])
+                    frame = range(1, ranks.shape[1] + 1)
+                    for size in range(2, len(frame) + 1):
+                        for slots in itertools.combinations(frame, size):
+                            counts = np.bincount(
+                                ranks[:, np.array(slots) - 1].argmin(axis=1), minlength=size
+                            )
+                            beaten = [s + 1 for s in landed & set(slots) if s + 1 in slots]
+                            assert (counts.min() == counts.max()) == (not beaten), (batch, slots)
+                            assert all(counts[slots.index(s)] == 0 for s in beaten)
+                            seen[kind] += 1
+                            seen["skewed"] += bool(beaten)
+        assert seen == {"lift": lift_sets, "skewed": skewed_lift_sets, "drop": drop_sets}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_bits_before_features_of_one_side_bias_the_estimate(self, seed):
+        # x = {1..50}, y = {26..75}; ten shared 1-bits land just before the
+        # features 1, 3, ..., 19 of x \ y. The truth is 35/85. Each displaced
+        # neighbour's share of the minimum goes to its inserted element, so
+        # the lineage's collision rate is 35/75.
+        trials, dim = 4000, 1000
+        x, y = SparseBinaryVector(dim, range(1, 51)), SparseBinaryVector(dim, range(26, 76))
+        pack = pack_supports([x, y])
+        batch = InsertionBatch(tuple(range(1, 20, 2)), (1,) * 10)
+        perms = [random_permutation(dim, PermutationSeed(seed, t)) for t in range(trials)]
+        h = lift_hash_matrix(min_hash_matrix(perms, pack), perms, batch)
+        rate = float(np.mean(h[0] == h[1]))
+        se = (rate * (1 - rate) / trials) ** 0.5
+        assert abs(rate - 35 / 75) < 3 * se
+        assert rate - 35 / 85 > 3 * se

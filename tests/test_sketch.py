@@ -278,7 +278,7 @@ def test_rules_and_kernels_leave_a_permutation_its_two_fields():
         lambda: drop_hash_matrix(h, [pi, pi], dele, pack),
         lambda: engine.apply_sequential_insert(h, [pi, pi], ins),
         lambda: engine.apply_sequential_delete(h, pack, [pi, pi], dele),
-        lambda: engine.sketch_matrix(pack, [pi, pi], threads=2),
+        lambda: engine.sketch_matrix(pack, [pi, pi]),
     ]
     for call in calls:
         call()
