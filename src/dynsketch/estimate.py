@@ -4,10 +4,12 @@ all pairs at once, and uniformity checks.
 All-pairs truth and estimates are condensed (i < j) vectors built by one
 numpy count of co-membership: for estimates the groups are the rows sharing a
 (column, value) of the hash matrix, for truth the points sharing a feature.
-Small groups are enumerated pair by pair; the few large ones, which hold most
-pairs under a long update stream, go through one dense product per row
-block. Apart from the output, scratch memory is bounded by
-``_BLOCK_ENTRIES`` entries per step, and only pairs i < j are ever formed.
+The few large groups, which hold most pairs under a long update stream, go
+through one dense product per row block, written straight into the output;
+the small ones are then enumerated pair by pair. Apart from the output,
+scratch memory is bounded by ``_BLOCK_ENTRIES`` entries per step, and a row
+block's product by a quarter of the output's entries, so one call's
+temporaries stay a small share of its output. Only pairs i < j are formed.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ def pairwise_true_jaccard(pack: SupportPack) -> tuple[np.ndarray, np.ndarray]:
     p = pack.count
     rows = np.repeat(np.arange(p), pack.lengths)
     order = np.argsort(pack.flat)
-    features = pack.flat[order]
-    starts = np.flatnonzero(np.diff(features, prepend=-1))
-    jac = _pair_counts(rows[order], starts, np.diff(starts, append=features.size), p)
+    jac = _pair_counts(rows[order], *_runs(pack.flat[order], pack.flat.size or 1), p)
     both_empty = np.empty(jac.size, dtype=bool)
     sizes = pack.lengths
     empty = sizes == 0
@@ -112,49 +112,60 @@ def _row_blocks(p: int):
 
     Yields ``lo``, the condensed slice the block's pairs fill, and the
     (rows x (P - lo)) mask ``col > row`` that picks them out of the block's
-    columns lo.. in condensed order. A block holds at most
-    ``_BLOCK_ENTRIES`` entries, or one row.
+    columns lo.. in condensed order. A block holds at most ``_BLOCK_ENTRIES``
+    entries and at most a quarter as many as there are pairs, or one row:
+    a block's product, mask and picked entries then take a small share of
+    the output's memory, and the lower triangle it computes in vain
+    shrinks with the block.
     """
+    cap = min(_BLOCK_ENTRIES, p * (p - 1) // 8)
+    # One narrow column index serves every block's mask.
+    col = np.arange(p, dtype=np.min_scalar_type(p))
     lo = start = 0
     while lo < p - 1:
-        hi = min(p - 1, lo + max(1, _BLOCK_ENTRIES // (p - lo)))
-        # np.tri compares narrow integers, where np.arange gives int64.
-        upper = ~np.tri(hi - lo, p - lo, 0, dtype=bool)
+        hi = min(p - 1, lo + max(1, cap // (p - lo)))
         stop = start + (hi - lo) * (2 * p - lo - hi - 1) // 2
-        yield lo, slice(start, stop), upper
+        yield lo, slice(start, stop), col[: p - lo] > col[: hi - lo, None]
         lo, start = hi, stop
+
+
+def _runs(ordered: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and sizes of the runs of two or more equal entries in ``ordered``,
+    where no run crosses a multiple of ``period``: the groups that hold a pair.
+
+    ``tie[j]`` says that entry j joins entry j - 1's run, so each run is a
+    stretch of True in ``tie``, and the edges of the stretches give its
+    first and last entries.
+    """
+    n = ordered.size
+    tie = np.zeros(n + 1, dtype=bool)
+    np.equal(ordered[1:], ordered[:-1], out=tie[1:n])
+    tie[period::period] = False
+    edges = np.flatnonzero(tie[1:] != tie[:-1])
+    starts = edges[::2]
+    return starts, edges[1::2] - starts + 1
 
 
 def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray:
     """Condensed (i < j) float64 count of the groups holding both rows i and j.
 
-    Group g holds the distinct rows ``rows[starts[g] : starts[g] + sizes[g]]``.
-    Groups of 2 up to a size split (P // ``_SPLIT_DIVISOR``, at least 2) are
-    enumerated pair by pair and counted into the output with ``np.add.at``.
-    The few at or above the split become the columns of a dense P x G 0/1
-    matrix X, and each row block adds the strict upper triangle of
-    ``X[lo:hi] @ X[lo:].T`` to its condensed segment in place. Scratch
-    memory holds about ``_BLOCK_ENTRIES`` entries at a time; a chunk of small
-    groups can exceed it only by its last group's pairs.
+    Group g holds the distinct rows ``rows[starts[g] : starts[g] + sizes[g]]``,
+    and every group holds at least 2 rows. Groups at or above a size split
+    (P // ``_SPLIT_DIVISOR``, at least 2) become the columns of a dense
+    P x G 0/1 matrix X, and each row block of :func:`_row_blocks` writes the
+    strict upper triangle of ``X[lo:hi] @ X[lo:].T`` into its condensed
+    segment, so the output needs no zeroing first. The smaller groups are
+    then enumerated pair by pair and counted in with ``np.add.at``. Apart
+    from the output, scratch memory holds at most ``_BLOCK_ENTRIES`` entries
+    of a kind at a time, a row block's product at most a quarter of the
+    output's entries; a chunk of small groups can exceed its bound only by
+    its last group's pairs.
     """
     npairs = p * (p - 1) // 2
     split = max(2, p // _SPLIT_DIVISOR)
-    small = (sizes >= 2) & (sizes < split)
-    starts_s, sizes_s = starts[small], sizes[small]
-    # Pair (i, j) with i < j sits at condensed index base[i] + j.
-    i = np.arange(p)
-    base = i * (2 * p - i - 3) // 2 - 1
-    chunk = np.cumsum(sizes_s * (sizes_s - 1) // 2) // _BLOCK_ENTRIES
-    cuts = [*np.flatnonzero(np.diff(chunk, prepend=-1)), sizes_s.size]
-    out = np.zeros(npairs, dtype=np.float64)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pos = _members(starts_s[lo:hi], sizes_s[lo:hi])
-        # Each member pairs with the members after it in its group.
-        later = np.repeat(starts_s[lo:hi] + sizes_s[lo:hi], sizes_s[lo:hi]) - pos - 1
-        u = rows[np.repeat(pos, later)]
-        v = rows[_members(pos + 1, later)]
-        np.add.at(out, base[np.minimum(u, v)] + np.maximum(u, v), 1.0)
-    big = np.flatnonzero(sizes >= split)
+    dense = sizes >= split
+    big = np.flatnonzero(dense)
+    out = np.empty(npairs, dtype=np.float64) if big.size else np.zeros(npairs, dtype=np.float64)
     width = max(1, _BLOCK_ENTRIES // max(p, 1))  # an empty pack has p = 0
     for a in range(0, big.size, width):
         g = big[a : a + width]
@@ -162,7 +173,25 @@ def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int
         x = np.zeros((p, g.size), dtype=np.float32)
         x[rows[_members(starts[g], sizes[g])], np.repeat(np.arange(g.size), sizes[g])] = 1
         for lo, seg, upper in _row_blocks(p):
-            out[seg] += (x[lo : lo + upper.shape[0]] @ x[lo:].T)[upper]
+            counts = (x[lo : lo + upper.shape[0]] @ x[lo:].T)[upper]
+            if a:
+                out[seg] += counts
+            else:
+                out[seg] = counts
+    starts, sizes = starts[~dense], sizes[~dense]
+    # Pair (i, j) with i < j sits at condensed index base[i] + j.
+    i = np.arange(p)
+    base = i * (2 * p - i - 3) // 2 - 1
+    chunk = np.cumsum(sizes * (sizes - 1) // 2) // _BLOCK_ENTRIES
+    cuts = [*np.flatnonzero(np.diff(chunk, prepend=-1)), sizes.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        st, sz = starts[lo:hi], sizes[lo:hi]
+        pos = _members(st, sz)
+        # Each member pairs with the members after it in its group.
+        later = np.repeat(st + sz - 1, sz) - pos
+        u = np.repeat(rows[pos], later)
+        v = rows[_members(pos + 1, later)]
+        np.add.at(out, base[np.minimum(u, v)] + np.maximum(u, v), 1.0)
     return out
 
 
@@ -174,31 +203,27 @@ def pairwise_estimates(h: np.ndarray) -> np.ndarray:
     over comparable columns, and pairs without a collision keep 0. Sorting
     each column groups the rows by (column, value); :func:`_pair_counts`
     counts, for i < j only, the nonzero groups holding both rows, and, only
-    when some slot is 0, the zero groups holding both. Scratch memory is
-    bounded by ``_BLOCK_ENTRIES`` entries per step beyond the P x K sort.
+    when some slot is 0, the zero groups holding both. Scratch memory beyond
+    the P x K sort is bounded as :func:`_pair_counts` bounds it.
     """
     p, k = h.shape
     if p < 2 or k == 0:
         return np.zeros(p * (p - 1) // 2, dtype=np.float64)
-    ht = h.T
-    order = np.argsort(ht, axis=1)
-    ordered = np.take_along_axis(ht, order, axis=1).ravel()
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    first[::p] = True  # every hash column starts new groups
-    starts = np.flatnonzero(first)
-    del first
-    sizes = np.diff(starts, append=ordered.size)
+    ht = np.ascontiguousarray(h.T)
+    rows = np.argsort(ht, axis=1).ravel()
+    # Sorting again costs less than gathering the values in argsort order.
+    ordered = np.sort(ht, axis=1).ravel()
+    starts, sizes = _runs(ordered, p)
     zero = ordered[starts] == 0
     del ordered
-    rows = order.ravel()
-    out = _pair_counts(rows, starts[~zero], sizes[~zero], p)
-    if zero.any():
-        comparable = _pair_counts(rows, starts[zero], sizes[zero], p)
-        np.subtract(k, comparable, out=comparable)
-        np.divide(out, comparable, out=out, where=out > 0)
-    else:
+    if not zero.any():
+        out = _pair_counts(rows, starts, sizes, p)
         out /= k
+        return out
+    out = _pair_counts(rows, starts[~zero], sizes[~zero], p)
+    comparable = _pair_counts(rows, starts[zero], sizes[zero], p)
+    np.subtract(k, comparable, out=comparable)
+    np.divide(out, comparable, out=out, where=out > 0)
     return out
 
 

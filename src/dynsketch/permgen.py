@@ -137,13 +137,16 @@ def _count_below(dim: int, base: np.ndarray) -> np.ndarray:
     """``below[r]`` = #{w < r} for r in 0..dim+1 over the distinct base ranks W.
 
     The table is a step function, n + 1 runs of 0..n cut at the sorted ranks:
-    one int32 ``np.repeat``, where a count table needs a d-long cumsum.
+    one ``np.repeat`` in the narrowest unsigned dtype that holds n, where a
+    count table needs a d-long cumsum. The narrow table makes its build and
+    the gathers from it cheaper; the callers add it into int32 ranks.
     """
     cuts = np.empty(base.size + 2, dtype=np.int64)
     cuts[0], cuts[-1] = -1, dim + 1
     cuts[1:-1] = base
     cuts[1:-1].sort()
-    return np.repeat(np.arange(base.size + 1, dtype=np.int32), cuts[1:] - cuts[:-1])
+    runs = np.arange(base.size + 1, dtype=np.min_scalar_type(base.size))
+    return np.repeat(runs, cuts[1:] - cuts[:-1])
 
 
 def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
@@ -160,8 +163,7 @@ def multiple_lift_perm(pi: Permutation, positions) -> Permutation:
     base = pi.rank[slots]
     below = _count_below(pi.dim, base)
     # take, not fancy indexing: about half the time with int32 indices.
-    shifted = below[1:].take(pi.rank)  # #{w <= r}
-    shifted += pi.rank
+    shifted = np.add(pi.rank, below[1:].take(pi.rank), dtype=np.int32)  # r + #{w <= r}
     # Inserted element i lands at slot positions[i] + i; the old ranks fill
     # the other slots in order.
     landed = slots + np.arange(slots.size)

@@ -226,7 +226,27 @@ class TestPairwiseEstimatesExact:
             with mock.patch.multiple(
                 estimate, _BLOCK_ENTRIES=block_entries, _SPLIT_DIVISOR=split_divisor
             ):
+                assert h.shape[0] < 3 or len(list(estimate._row_blocks(h.shape[0]))) >= 2
                 self.check(h)
+
+    def test_stream_shaped_matrix_across_default_row_blocks(self):
+        # The shape of perfbench's stream-mixed store: P = 500 points and
+        # K = 32 columns, in each of which a few values fill groups of 31 or
+        # more rows (P // 16, the dense product's split), the rest of the
+        # rows spread thin, and 40 EMPTY rows form a zero group the dense
+        # product counts too. At the default constants the dense product
+        # crosses row blocks.
+        rng = np.random.default_rng(27)
+        p, k = 500, 32
+        h = rng.integers(1, 5000, size=(p, k), dtype=np.int32)
+        for c in range(k):
+            for value, size in enumerate(rng.integers(31, 200, size=3), start=1):
+                h[rng.choice(p, size=size, replace=False), c] = value
+        h[rng.choice(p, size=40, replace=False)] = 0
+        split = p // estimate._SPLIT_DIVISOR
+        assert all(np.unique(col, return_counts=True)[1].max() >= split for col in h.T)
+        assert len(list(estimate._row_blocks(p))) >= 2
+        self.check(h)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_value_in_most_rows(self, seed):
@@ -285,6 +305,7 @@ class TestPairwiseTrueJaccardChunks:
         with mock.patch.multiple(
             estimate, _BLOCK_ENTRIES=block_entries, _SPLIT_DIVISOR=split_divisor
         ):
+            assert pack.count < 3 or len(list(estimate._row_blocks(pack.count))) >= 2
             truth, both_empty = engine.pairwise_true_jaccard(pack)
         assert truth.dtype == np.float64 and both_empty.dtype == bool
         assert np.array_equal(truth, expected)

@@ -1,6 +1,10 @@
-"""The verdicts of ``tools/paired_runs.py`` on synthetic per-run values."""
+"""The verdicts of ``tools/paired_runs.py`` on synthetic per-run values, and an
+A/A run of ``tools/ab_blocks.py``."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,8 +35,15 @@ def runs(name, values):
         ("op_ms_p50", [10.0] * 10, [9.0] * 8 + [10.0, 10.0], "level"),
         # Every pair won, but by less than the parent's IQR.
         ("ops_per_s", [90, 95, 100, 105, 110], [91, 96, 101, 106, 111], "level"),
-        # One pair: won, with no spread on the parent side.
-        ("ops_per_s", [100], [101], "better"),
+        # Fewer than 10 pairs never read better, however clear the win:
+        # one pair, 3 of 3 and 9 of 9.
+        ("ops_per_s", [100], [101], "level"),
+        ("ops_per_s", [99, 100, 101], [110] * 3, "level"),
+        ("op_ms_p50", [10.0] * 9, [9.0] * 9, "level"),
+        ("layer.s", [5.0] * 9, [4.0] * 9, "level"),
+        # 9 of 10 is the fewest wins that read better.
+        ("ops_per_s", [100] * 10, [110] * 9 + [100], "better"),
+        ("ops_per_s", [100] * 10, [110] * 8 + [100] * 2, "level"),
         # The after median 30% worse than the before median, past the 0.25 bound.
         ("op_ms_p50", [10.0, 10.1, 9.9], [13.0, 13.1, 12.9], "worse"),
         ("ops_per_s", [100, 101, 99], [70, 71, 69], "worse"),
@@ -52,3 +63,23 @@ def runs(name, values):
 def test_summarise_gives_each_metric_a_verdict(name, before, after, expected):
     summary = paired_runs.summarise(runs(name, before), runs(name, after), SPEC)
     assert summary[name]["verdict"] == expected
+
+
+def test_ab_blocks_on_one_tree_matches_itself(tmp_path):
+    # Both workers run this checkout's stream-mixed at toy size: the same
+    # operations give the same digests, every check passes, and with fewer
+    # than 10 blocks no layer can read better.
+    root = _PATH.parent.parent
+    out = tmp_path / "ab.json"
+    subprocess.run(
+        [sys.executable, str(root / "tools" / "ab_blocks.py"), "--before", str(root),
+         "--after", str(root), "--size", "toy", "--blocks", "3", "--ops", "2", "--out", str(out)],
+        check=True, capture_output=True,
+    )
+    (run,) = json.loads(out.read_text())["runs"].values()
+    assert run["digests_match"] is True
+    assert run["failed_before"] == run["failed_after"] == 0
+    assert run["ops_each_side"] == 2 + 3 * 2
+    layers = ("kernels", "lineage", "edits", "pack", "estimates")
+    assert set(run["metrics"]) == {f"{k}.ms" for k in layers} | {"total.ms"} | {f"{k}.minflt" for k in layers}
+    assert {m["verdict"] for m in run["metrics"].values()} == {"level"}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynsketch import core
+from dynsketch import core, permgen
 from dynsketch.bench import engine
 from dynsketch.core import (
     InsertionBatch,
@@ -244,6 +244,33 @@ class TestLineageMapsOwnTheirOutput:
         assert not np.shares_memory(out.rank, self.PERM.rank)
         assert np.array_equal(self.PERM.rank, rank)
         assert out == carry(Permutation(rank), positions)
+
+
+class TestNarrowCountTable:
+    """The lineage maps count the base ranks below each rank in a table of
+    the narrowest unsigned dtype that holds n, and add it into int32 ranks.
+    At the uint8 -> uint16 edge and at n = d they still equal folding the
+    single-step constructions, with int32, read-only ranks."""
+
+    DIM = 300
+
+    @pytest.mark.parametrize(
+        "n, table", [(255, np.uint8), (256, np.uint16), (DIM, np.uint16)],
+        ids=["uint8-edge", "uint16-edge", "every-position"],
+    )
+    def test_maps_equal_the_single_step_fold(self, n, table):
+        perm = random_permutation(self.DIM, PermutationSeed(27, n))
+        rng = np.random.default_rng(n)
+        positions = tuple(sorted(int(m) for m in rng.choice(self.DIM, size=n, replace=False) + 1))
+        assert permgen._count_below(self.DIM, perm.rank[:n]).dtype == table
+        lifted, dropped = perm, perm
+        for i, m in enumerate(positions):
+            lifted = lift_perm(lifted, m + i)
+            dropped = drop_perm(dropped, m - i)
+        outs = multiple_lift_perm(perm, positions), multiple_drop_perm(perm, positions)
+        assert outs == (lifted, dropped)
+        for out in outs:
+            assert out.rank.dtype == np.int32 and not out.rank.flags.writeable
 
 
 def _fold_loops(step, perm, slots):

@@ -55,21 +55,27 @@ def quartiles(values) -> list[float]:
     return [round(float(q), 4) for q in np.percentile(values, [25, 50, 75])]
 
 
+# The fewest pairs that can read "better".
+MIN_PAIRS = 10
+
+
 def verdict(b: list[float], a: list[float], wins: int, lower: bool, bound: float | None) -> str:
     """The metric's verdict on before values ``b`` and after values ``a``,
     of which the after side won ``wins`` pairs.
 
-    "better": the after side won at least 9/10 of the pairs (ties count for
-    neither), and its median beats the before median by more than the before
-    side's q3 - q1. "worse": the after median is worse than the before median
-    by more than ``bound``, a share of the before median. "unresolved": the
-    before side's q3 - q1 is wider than ``bound`` times its median, unless
-    every after run beats every before run. "level": any other case. A
-    per-layer metric has no bound, so it is "better" or "level".
+    "better": over at least ``MIN_PAIRS`` pairs, the after side won at least
+    9/10 of them (ties count for neither), and its median beats the before
+    median by more than the before side's q3 - q1. Fewer pairs never read
+    "better": 3 of 3 wins come by chance about one time in eight. "worse":
+    the after median is worse than the before median by more than
+    ``bound``, a share of the before median. "unresolved": the before
+    side's q3 - q1 is wider than ``bound`` times its median, unless every
+    after run beats every before run. "level": any other case. A per-layer
+    metric has no bound, so it is "better" or "level".
     """
     q1, mb, q3 = np.percentile(b, [25, 50, 75])
     gain = (mb - np.median(a)) * (1 if lower else -1)
-    if 10 * wins >= 9 * len(b) and gain > q3 - q1:
+    if len(b) >= MIN_PAIRS and 10 * wins >= 9 * len(b) and gain > q3 - q1:
         return "better"
     if bound is None:
         return "level"
