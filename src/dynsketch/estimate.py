@@ -84,7 +84,7 @@ def pairwise_true_jaccard(pack: SupportPack) -> tuple[np.ndarray, np.ndarray]:
     p = pack.count
     rows = np.repeat(np.arange(p), pack.lengths)
     order = np.argsort(pack.flat)
-    jac = _pair_counts(rows[order], *_runs(pack.flat[order], pack.flat.size or 1), p)
+    jac = _pair_counts(rows[order], *_runs(pack.flat[order]), p)
     both_empty = np.empty(jac.size, dtype=bool)
     sizes = pack.lengths
     empty = sizes == 0
@@ -129,9 +129,10 @@ def _row_blocks(p: int):
         lo, start = hi, stop
 
 
-def _runs(ordered: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
+def _runs(ordered: np.ndarray, period: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Starts and sizes of the runs of two or more equal entries in ``ordered``,
-    where no run crosses a multiple of ``period``: the groups that hold a pair.
+    where a ``period`` given cuts every run at its multiples: the groups that
+    hold a pair.
 
     ``tie[j]`` says that entry j joins entry j - 1's run, so each run is a
     stretch of True in ``tie``, and the edges of the stretches give its
@@ -140,7 +141,8 @@ def _runs(ordered: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
     n = ordered.size
     tie = np.zeros(n + 1, dtype=bool)
     np.equal(ordered[1:], ordered[:-1], out=tie[1:n])
-    tie[period::period] = False
+    if period is not None:
+        tie[period::period] = False
     edges = np.flatnonzero(tie[1:] != tie[:-1])
     starts = edges[::2]
     return starts, edges[1::2] - starts + 1
@@ -165,6 +167,9 @@ def _pair_counts(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, p: int
     split = max(2, p // _SPLIT_DIVISOR)
     dense = sizes >= split
     big = np.flatnonzero(dense)
+    # The first chunk of big groups writes every pair, so the output is zeroed
+    # only when there is none: in the stream (P = 500) zeroing it, and
+    # faulting its pages in, costs 6-8% of the call.
     out = np.empty(npairs, dtype=np.float64) if big.size else np.zeros(npairs, dtype=np.float64)
     width = max(1, _BLOCK_ENTRIES // max(p, 1))  # an empty pack has p = 0
     for a in range(0, big.size, width):

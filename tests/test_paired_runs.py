@@ -83,3 +83,5 @@ def test_ab_blocks_on_one_tree_matches_itself(tmp_path):
     layers = ("kernels", "lineage", "edits", "pack", "estimates")
     assert set(run["metrics"]) == {f"{k}.ms" for k in layers} | {"total.ms"} | {f"{k}.minflt" for k in layers}
     assert {m["verdict"] for m in run["metrics"].values()} == {"level"}
+    # The tracer put a span into every layer of every block.
+    assert all(min(run["metrics"][f"{k}.ms"][side]) > 0 for k in layers for side in ("before", "after"))

@@ -13,13 +13,16 @@ speed falls on both. perfbench's own runs end after a fixed time, and since
 stream-mixed's operations grow heavier through a run, a faster tree there
 runs heavier operations; here it does not.
 
-A worker runs the calls of ``StreamMixed._step`` and times each layer: the
-batch kernel (``kernels``), the 32 lineage maps (``lineage``), the per-point
-edits (``edits``), ``pack_supports`` (``pack``) and ``pairwise_estimates``
-(``estimates``), with the minor page faults (``ru_minflt``) each layer takes.
-Every operation is checked off the clock against re-sketching, as perfbench
-checks it, and each block's outputs (the hash matrix, the estimates and the
-lineage after every step) are hashed into one digest per block.
+A worker steps the workload with ``StreamMixed.step`` and hands it a tracer
+whose ``span`` adds the time and the minor page faults (``ru_minflt``) of
+each call into its layer: the batch kernel (``kernels``), the 32 lineage
+maps (``lineage``), the per-point edits (``edits``), ``pack_supports``
+(``pack``) and ``pairwise_estimates`` (``estimates``). A span name not in
+``LAYER_OF`` stops the worker, so a change to the workload's calls cannot
+go untimed. Every operation is checked off the clock against re-sketching,
+as perfbench checks it, and each block's outputs (the hash matrix, the pack
+and the lineage after every step, and the estimates after every operation)
+are hashed into one digest per block.
 
 For every layer the summary treats each block as one pair of ms/op (or
 faults/op) values and gives the same fields and ``verdict`` as
@@ -40,6 +43,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -56,8 +60,46 @@ def _paired_runs():
     return module
 
 
+# perfbench's span names in a stream-mixed step, by layer.
+LAYER_OF = {
+    "engine.apply_batch_insert": "kernels",
+    "engine.apply_batch_delete": "kernels",
+    "permgen.multiple_lift_perm": "lineage",
+    "permgen.multiple_drop_perm": "lineage",
+    "core.insert_features": "edits",
+    "core.delete_features": "edits",
+    "engine.pack_supports": "pack",
+    "engine.pairwise_estimates": "estimates",
+}
+
+
+def layer_tracer(tracer_cls):
+    """A subclass of the checkout's ``Tracer`` that sums each span into its layer."""
+
+    class LayerTracer(tracer_cls):
+        def __init__(self):
+            super().__init__(False)
+            self.reset()
+
+        def reset(self):
+            self.times, self.faults = dict.fromkeys(LAYERS, 0.0), dict.fromkeys(LAYERS, 0)
+
+        @contextmanager
+        def span(self, name, calls=1):
+            layer = LAYER_OF[name]
+            flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = perf_counter()
+            try:
+                yield
+            finally:
+                self.times[layer] += perf_counter() - start
+                self.faults[layer] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt
+
+    return LayerTracer()
+
+
 class Worker:
-    """One checkout's StreamMixed, stepped layer by layer."""
+    """One checkout's StreamMixed, stepped by perfbench's own ``step``."""
 
     def __init__(self, tree: Path, seed: int, size: str, workdir: Path):
         sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -67,47 +109,28 @@ class Worker:
 
         if not Path(dynsketch.__file__).resolve().is_relative_to(tree.resolve()):
             raise SystemExit(f"error: imported {dynsketch.__file__}, not the one under {tree}")
-        self.engine = workloads.engine
-        self.carry = workloads._carry
-        self.pool = workloads.POOL
         self.wl = workloads.StreamMixed(seed, size, workdir, Tracer(False))
         self.wl.setup()
+        # Set-up's spans are not timed; every step's are.
+        self.wl.t = self.tracer = layer_tracer(Tracer)
         for i in range(WARM_UP):
             self.run(i, 1)
-
-    def _step(self, kind, batch, times, faults):
-        wl, engine = self.wl, self.engine
-        edit, carry = self.carry(kind)
-        calls = (
-            ("kernels", lambda: engine.apply_batch_insert(wl.h, wl.perms, batch) if kind == "insert"
-             else engine.apply_batch_delete(wl.h, wl.pack, wl.perms, batch)),
-            ("lineage", lambda: [carry(p, batch.positions) for p in wl.perms]),
-            ("edits", lambda: [edit(v, batch) for v in wl.points]),
-            ("pack", lambda: engine.pack_supports(wl.points)),
-            ("estimates", lambda: engine.pairwise_estimates(wl.h)),
-        )
-        for (layer, call), attr in zip(calls, ("h", "perms", "points", "pack", "estimates")):
-            flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            start = perf_counter()
-            setattr(wl, attr, call())
-            times[layer] += perf_counter() - start
-            faults[layer] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt
 
     def run(self, first: int, count: int) -> dict:
         """Operations first..first + count - 1, each checked off the clock."""
         wl = self.wl
-        times, faults = dict.fromkeys(LAYERS, 0.0), dict.fromkeys(LAYERS, 0)
+        self.tracer.reset()
         digest = hashlib.sha256()
         failed = 0
         for i in range(first, first + count):
-            states = []
-            for kind, batch in zip(("insert", "delete"), wl.batches[i % self.pool]):
-                self._step(kind, batch, times, faults)
-                states.append((wl.h, wl.pack, wl.perms))
-                for a in (wl.h.astype("int64"), wl.estimates, *(p.rank.astype("int64") for p in wl.perms)):
-                    digest.update(a.tobytes())
+            states = wl.step(i)
+            for h, pack, perms in states:
+                for a in (h, pack.flat, pack.lengths, *(p.rank for p in perms)):
+                    digest.update(a.astype("int64").tobytes())
+            digest.update(wl.estimates.tobytes())
             failed += not wl.check(i, states)
-        return {"times": times, "faults": faults, "digest": digest.hexdigest(), "failed": failed}
+        return {"times": self.tracer.times, "faults": self.tracer.faults,
+                "digest": digest.hexdigest(), "failed": failed}
 
 
 def serve(args) -> int:
