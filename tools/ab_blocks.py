@@ -1,142 +1,140 @@
-"""Equal-operation-count A/B of stream-mixed's layers in two dynsketch checkouts.
+"""Equal-operation-count A/B of a perfbench workload's spans in two dynsketch checkouts.
 
-    python3 tools/ab_blocks.py --before ../parent --after . --seed 1 \
-        --blocks 30 --out BENCH_27.json
+    python3 tools/ab_blocks.py --before ../parent --after . \
+        --workload stream-mixed --seed 1 --blocks 30 --out BENCH_28.json
 
-Each checkout gets one worker process, which imports that checkout's
-``src/`` and ``perfbench/``, sets up perfbench's StreamMixed workload at the
-seed and runs 2 warm-up operations. The controller then runs blocks of
-``--ops`` operations alternately in the two workers: even blocks run the
-``--before`` worker first and odd blocks the ``--after`` worker, so both
-sides run the same operations, equal in count, and a drift of the host's
-speed falls on both. perfbench's own runs end after a fixed time, and since
-stream-mixed's operations grow heavier through a run, a faster tree there
-runs heavier operations; here it does not.
+Each checkout gets one worker process, which pins the thread variables its
+``perfbench/run.py`` lists before numpy is imported, imports that checkout's
+``src/`` and ``perfbench/``, sets up the workload at the seed and runs 2
+warm-up operations. The controller then runs blocks of ``--ops`` operations
+alternately in the two workers, the ``--before`` worker first in even
+blocks, so both sides run the same operations, equal in count, and a drift
+of the host's speed falls on both. (perfbench's runs end after a fixed time,
+so where operations grow heavier through a run, as in stream-mixed, a faster
+tree runs heavier ones.)
 
-A worker steps the workload with ``StreamMixed.step`` and hands it a tracer
-whose ``span`` adds the time and the minor page faults (``ru_minflt``) of
-each call into its layer: the batch kernel (``kernels``), the 32 lineage
-maps (``lineage``), the per-point edits (``edits``), ``pack_supports``
-(``pack``) and ``pairwise_estimates`` (``estimates``). A span name not in
-``LAYER_OF`` stops the worker, so a change to the workload's calls cannot
-go untimed. Every operation is checked off the clock against re-sketching,
-as perfbench checks it, and each block's outputs (the hash matrix, the pack
-and the lineage after every step, and the estimates after every operation)
-are hashed into one digest per block.
+A worker runs each operation through the workload's own ``step`` with a
+tracer whose ``span`` adds the time and the minor page faults (``ru_minflt``)
+of each call under the span's name: every span the step opens is a layer.
+Off the clock, it checks the operations the workload's ``checks`` selects
+and calls ``finish_op``, as perfbench does, and hashes each operation's
+output and the arrays the workload keeps as state (stream-mixed's estimates)
+into one digest per block: arrays by their bytes, integer ones widened to
+int64, other objects by their fields.
 
-For every layer the summary treats each block as one pair of ms/op (or
-faults/op) values and gives the same fields and ``verdict`` as
+Per block, ``<span>.ms`` and ``<span>.minflt`` are a span's ms and faults per
+operation and ``total.ms`` the whole step's ms per operation; the summary
+treats each block as one pair and gives the fields and ``verdict`` of
 ``tools/paired_runs.py``, by the same rule. It also reports whether every
-block's digests matched, the failed checks and each worker's ``ru_minflt``
-and peak RSS. The summary is stored under ``runs`` in the ``--out`` file,
-keyed by seed, size and block shape, next to whatever the file holds.
+block's digests matched, the checked and failed operations, the workers'
+pinned thread variables, ``ru_minflt`` and peak RSS. It is stored under
+``runs`` in the ``--out`` file, keyed by workload, seed, size and block
+shape, next to whatever the file holds.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import resource
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
-LAYERS = ("kernels", "lineage", "edits", "pack", "estimates")
 WARM_UP = 2
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
-def _paired_runs():
-    path = Path(__file__).resolve().with_name("paired_runs.py")
-    spec = importlib.util.spec_from_file_location("paired_runs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def span_tracer(tracer_cls):
+    """A subclass of the checkout's ``Tracer`` that sums each span under its name."""
 
-
-# perfbench's span names in a stream-mixed step, by layer.
-LAYER_OF = {
-    "engine.apply_batch_insert": "kernels",
-    "engine.apply_batch_delete": "kernels",
-    "permgen.multiple_lift_perm": "lineage",
-    "permgen.multiple_drop_perm": "lineage",
-    "core.insert_features": "edits",
-    "core.delete_features": "edits",
-    "engine.pack_supports": "pack",
-    "engine.pairwise_estimates": "estimates",
-}
-
-
-def layer_tracer(tracer_cls):
-    """A subclass of the checkout's ``Tracer`` that sums each span into its layer."""
-
-    class LayerTracer(tracer_cls):
+    class SpanTracer(tracer_cls):
         def __init__(self):
             super().__init__(False)
-            self.reset()
-
-        def reset(self):
-            self.times, self.faults = dict.fromkeys(LAYERS, 0.0), dict.fromkeys(LAYERS, 0)
+            self.times, self.faults = defaultdict(float), defaultdict(int)
 
         @contextmanager
         def span(self, name, calls=1):
-            layer = LAYER_OF[name]
             flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = perf_counter()
             try:
                 yield
             finally:
-                self.times[layer] += perf_counter() - start
-                self.faults[layer] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt
+                self.times[name] += perf_counter() - start
+                self.faults[name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt
 
-    return LayerTracer()
+    return SpanTracer
+
+
+def feed(digest, value) -> None:
+    """Hash ``value`` into ``digest``: an array by its bytes, widened to int64
+    if integer; a list or tuple item by item; an object by its fields."""
+    if hasattr(value, "dtype"):
+        digest.update((value.astype("int64") if value.dtype.kind in "biu" else value).tobytes())
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            feed(digest, item)
+    elif hasattr(value, "__dict__"):
+        feed(digest, list(vars(value).values()))
+    else:
+        digest.update(repr(value).encode())
 
 
 class Worker:
-    """One checkout's StreamMixed, stepped by perfbench's own ``step``."""
+    """One checkout's workload, stepped by perfbench's own ``step``."""
 
-    def __init__(self, tree: Path, seed: int, size: str, workdir: Path):
+    def __init__(self, tree: Path, workload: str, seed: int, size: str, workdir: Path):
         sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+        if "numpy" in sys.modules:
+            raise SystemExit("error: numpy was imported before the thread variables were pinned")
+        import run
+
+        run.pin_threads()
+        self.thread_vars = {var: os.environ[var] for var in run.THREAD_VARS}
         import dynsketch
         import workloads
         from tracer import Tracer
 
         if not Path(dynsketch.__file__).resolve().is_relative_to(tree.resolve()):
             raise SystemExit(f"error: imported {dynsketch.__file__}, not the one under {tree}")
-        self.wl = workloads.StreamMixed(seed, size, workdir, Tracer(False))
+        if workload not in workloads.WORKLOADS:
+            raise SystemExit(f"error: --workload must be one of {', '.join(workloads.WORKLOADS)}")
+        self.wl = workloads.WORKLOADS[workload](seed, size, workdir, Tracer(False))
         self.wl.setup()
         # Set-up's spans are not timed; every step's are.
-        self.wl.t = self.tracer = layer_tracer(Tracer)
-        for i in range(WARM_UP):
-            self.run(i, 1)
+        self.tracer_cls = span_tracer(Tracer)
+        self.run(0, WARM_UP)
 
     def run(self, first: int, count: int) -> dict:
-        """Operations first..first + count - 1, each checked off the clock."""
+        """Operations first..first + count - 1, selected ones checked off the clock."""
         wl = self.wl
-        self.tracer.reset()
+        wl.t = tracer = self.tracer_cls()
         digest = hashlib.sha256()
-        failed = 0
+        total = 0.0
+        checked = failed = 0
         for i in range(first, first + count):
-            states = wl.step(i)
-            for h, pack, perms in states:
-                for a in (h, pack.flat, pack.lengths, *(p.rank for p in perms)):
-                    digest.update(a.astype("int64").tobytes())
-            digest.update(wl.estimates.tobytes())
-            failed += not wl.check(i, states)
-        return {"times": self.tracer.times, "faults": self.tracer.faults,
-                "digest": digest.hexdigest(), "failed": failed}
+            start = perf_counter()
+            out = wl.step(i)
+            total += perf_counter() - start
+            feed(digest, out)
+            feed(digest, [v for v in vars(wl).values() if hasattr(v, "dtype")])
+            if wl.checks(i):
+                checked += 1
+                failed += not wl.check(i, out)
+            wl.finish_op(i, out)
+        return {"times": tracer.times, "faults": tracer.faults, "total": total,
+                "digest": digest.hexdigest(), "checked": checked, "failed": failed}
 
 
 def serve(args) -> int:
     """Worker loop: a ``first count`` line runs a block; an empty line ends it."""
     with tempfile.TemporaryDirectory() as workdir:
-        worker = Worker(args.worker, args.seed, args.size, Path(workdir))
+        worker = Worker(args.worker, args.workload, args.seed, args.size, Path(workdir))
         print(json.dumps({"ready": True}), flush=True)
         for line in sys.stdin:
             if not line.strip():
@@ -144,14 +142,15 @@ def serve(args) -> int:
             first, count = map(int, line.split())
             print(json.dumps(worker.run(first, count)), flush=True)
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    print(json.dumps({"minflt": usage.ru_minflt, "maxrss_mb": round(usage.ru_maxrss / 1024, 2)}), flush=True)
+    print(json.dumps({"minflt": usage.ru_minflt, "maxrss_mb": round(usage.ru_maxrss / 1024, 2),
+                      "thread_vars": worker.thread_vars}), flush=True)
     return 0
 
 
-def start(tree: Path, seed: int, size: str) -> subprocess.Popen:
-    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
-    cmd = [sys.executable, __file__, "--worker", str(tree.resolve()), "--seed", str(seed), "--size", size]
-    proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+def start(tree: Path, args) -> subprocess.Popen:
+    cmd = [sys.executable, __file__, "--worker", str(tree.resolve()), "--workload", args.workload,
+           "--seed", str(args.seed), "--size", args.size]
+    proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     reply(proc)
     return proc
 
@@ -163,12 +162,12 @@ def reply(proc: subprocess.Popen) -> dict:
     return json.loads(line)
 
 
-def block_metrics(block: dict, ops: int) -> dict:
-    """One block as a paired_runs run: ms/op and faults/op per layer."""
+def block_metrics(block: dict, spans: list[str], ops: int) -> dict:
+    """One block as a paired_runs run; a span the block did not open counts 0."""
     times, faults = block["times"], block["faults"]
-    metrics = {f"{k}.ms": {"value": 1e3 * times[k] / ops, "unit": "ms/op"} for k in LAYERS}
-    metrics["total.ms"] = {"value": 1e3 * sum(times.values()) / ops, "unit": "ms/op"}
-    metrics.update({f"{k}.minflt": {"value": faults[k] / ops, "unit": "faults/op"} for k in LAYERS})
+    metrics = {f"{s}.ms": {"value": 1e3 * times.get(s, 0.0) / ops, "unit": "ms/op"} for s in spans}
+    metrics["total.ms"] = {"value": 1e3 * block["total"] / ops, "unit": "ms/op"}
+    metrics.update({f"{s}.minflt": {"value": faults.get(s, 0) / ops, "unit": "faults/op"} for s in spans})
     return {"metrics": metrics}
 
 
@@ -176,6 +175,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, help="the parent checkout")
     parser.add_argument("--after", type=Path, help="the changed checkout")
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=("full", "toy"), default="full")
     parser.add_argument("--blocks", type=int, default=30)
@@ -189,9 +189,10 @@ def main(argv=None) -> int:
         parser.error("--before, --after and --out are required")
     if args.blocks < 1 or args.ops < 1:
         parser.error("--blocks and --ops must be positive")
+    # Not at the top: paired_runs imports numpy, which a worker must not import before pinning.
+    from paired_runs import summarise
 
-    workers = {"before": start(args.before, args.seed, args.size)}
-    workers["after"] = start(args.after, args.seed, args.size)
+    workers = {side: start(getattr(args, side), args) for side in ("before", "after")}
     blocks = {"before": [], "after": []}
     for b in range(args.blocks):
         order = ("before", "after") if b % 2 == 0 else ("after", "before")
@@ -199,12 +200,9 @@ def main(argv=None) -> int:
             workers[side].stdin.write(f"{WARM_UP + b * args.ops} {args.ops}\n")
             workers[side].stdin.flush()
             blocks[side].append(reply(workers[side]))
-        print(
-            f"block {b}: " + ", ".join(
-                f"{s} {1e3 * sum(r[-1]['times'].values()) / args.ops:.2f} ms/op" for s, r in blocks.items()
-            ),
-            file=sys.stderr,
-        )
+        print(f"block {b}: " + ", ".join(
+            f"{s} {1e3 * r[-1]['total'] / args.ops:.2f} ms/op" for s, r in blocks.items()
+        ), file=sys.stderr)
     usage = {}
     for side, proc in workers.items():
         proc.stdin.write("\n")
@@ -212,9 +210,10 @@ def main(argv=None) -> int:
         usage[side] = reply(proc)
         proc.wait()
 
-    before, after = ([block_metrics(r, args.ops) for r in blocks[s]] for s in ("before", "after"))
+    spans = list(dict.fromkeys(s for side in blocks.values() for r in side for s in r["times"]))
+    before, after = ([block_metrics(r, spans, args.ops) for r in blocks[s]] for s in ("before", "after"))
     spec = {name: {"better": "lower"} for name in before[0]["metrics"]}
-    key = f"stream-mixed/seed{args.seed}/{args.size}/{args.blocks}x{args.ops}"
+    key = f"{args.workload}/seed{args.seed}/{args.size}/{args.blocks}x{args.ops}"
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("runs", {})[key] = {
         "blocks": args.blocks,
@@ -224,11 +223,12 @@ def main(argv=None) -> int:
         "digests_match": all(
             x["digest"] == y["digest"] for x, y in zip(blocks["before"], blocks["after"])
         ),
-        "failed_before": sum(r["failed"] for r in blocks["before"]),
-        "failed_after": sum(r["failed"] for r in blocks["after"]),
+        "checked": {s: sum(r["checked"] for r in rs) for s, rs in blocks.items()},
+        "failed": {s: sum(r["failed"] for r in rs) for s, rs in blocks.items()},
+        "worker_thread_vars": {s: u["thread_vars"] for s, u in usage.items()},
         "worker_minflt": {s: u["minflt"] for s, u in usage.items()},
         "worker_maxrss_mb": {s: u["maxrss_mb"] for s, u in usage.items()},
-        "metrics": _paired_runs().summarise(before, after, spec),
+        "metrics": summarise(before, after, spec),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

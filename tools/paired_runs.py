@@ -51,8 +51,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     return result
 
 
+def significant(value: float) -> float:
+    """``value`` to 6 significant digits, as every per-run value and quartile is reported."""
+    return float(f"{value:.6g}")
+
+
 def quartiles(values) -> list[float]:
-    return [round(float(q), 4) for q in np.percentile(values, [25, 50, 75])]
+    return [significant(q) for q in np.percentile(values, [25, 50, 75])]
 
 
 # The fewest pairs that can read "better".
@@ -101,8 +106,8 @@ def summarise(before: list[dict], after: list[dict], spec: dict) -> dict:
         out[name] = {
             "unit": before[0]["metrics"][name]["unit"],
             "better": "lower" if lower else "higher",
-            "before": [round(v, 6) for v in b],
-            "after": [round(v, 6) for v in a],
+            "before": [significant(v) for v in b],
+            "after": [significant(v) for v in a],
             "before_q1_median_q3": quartiles(b),
             "after_q1_median_q3": quartiles(a),
             "after_over_before": round(ma / mb, 4) if mb else None,
