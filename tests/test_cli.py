@@ -86,6 +86,20 @@ class TestInsertDeleteCommands:
             assert code == 1, argv
             assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--synthetic", "1,a,3"], "--synthetic values must be integers"),
+            (["--synthetic", "30,5,8", "--n", "a"], "--n values must be integers"),
+            (["--synthetic", "30,5,8", "--n", ","], "--n needs at least one value"),
+        ],
+        ids=["synthetic-not-int", "n-not-int", "n-empty"],
+    )
+    def test_list_flag_refusals(self, argv, message, capsys):
+        code, out, err = run_cli(["insert", *argv], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_fresh_scratch_refuses_deleting_every_feature(self, capsys):
         argv = ["delete", "--synthetic", "10,3,8", "--num-perms", "4", "--n", "10", "--reps", "1"]
         code, out, err = run_cli(argv, capsys)
@@ -200,6 +214,33 @@ class TestUniformityCommand:
         code, out, err = run_cli(["uniformity", "--source", source, "--trials", "-5"], capsys)
         assert code == 1 and out == ""
         assert err == "error: need at least 250 trials for a set of 5 elements\n"
+
+    @pytest.mark.parametrize("source", ["random", "drop", "lift"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "seed must be non-negative"), (str(2**64), f"seed {2**64} must be below 2**64")],
+        ids=["negative", "past-64-bits"],
+    )
+    def test_negative_seed_rejected_by_every_source(self, source, seed, message, capsys):
+        code, out, err = run_cli(
+            ["uniformity", "--source", source, "--seed", seed, "--trials", "40", "--set-size", "2"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--set-size", "1"], "--set-size must be at least 2"),
+            (["--dim", "3", "--set-size", "5"], "--dim too small for the requested set size"),
+        ],
+        ids=["set-size-1", "dim-below-set"],
+    )
+    def test_set_size_refusals(self, argv, message, capsys):
+        code, out, err = run_cli(["uniformity", *argv, "--trials", "400"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("dim", [4, 5, 6, 7, 12])
     def test_drop_source_removes_slot_7_or_the_last_slot(self, dim, capsys):

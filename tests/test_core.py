@@ -24,9 +24,9 @@ from dynsketch.core import (
 from dynsketch.estimate import minwise_uniformity_test
 from dynsketch.ingest import Corpus, sample_corpus
 from dynsketch.permgen import PermutationSeed, drop_perm, lift_perm, random_permutation
-from dynsketch.sketch import drop_hash, lift_hash
+from dynsketch.sketch import drop_hash, lift_hash, multiple_drop_hash
 from dynsketch.bench import engine
-from dynsketch.bench.experiment import PATHS, ExperimentConfig, run_experiment
+from dynsketch.bench.experiment import PATHS, SCRATCH_MODES, ExperimentConfig, run_experiment
 from dynsketch.bench.synthetic import synthetic_corpus
 from dynsketch.bench.workload import draw_deletion_plan, draw_insertion_plan
 from _reference import delete_features_bisect, insert_features_bisect
@@ -744,10 +744,49 @@ class TestScalarIntegers:
             (lambda: threaded_sketch(-3), "threads must be 1"),
             (lambda: threaded_sketch(2), "threads must be 1"),
             (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 2, -1), "seed must be non-negative"),
+            (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 0, 1), "sample size must be at least 1"),
+            (lambda: SparseBinaryVector(-1), "dimension must be non-negative"),
+            (lambda: PERM_5.value_at(6), "position 6 out of range 1..5"),
+            (lambda: synthetic_corpus(20, 3, 0, 0), "point count must be at least 1"),
+            (lambda: synthetic_corpus(20, 3, 4, -1), "seed must be non-negative"),
+            (lambda: synthetic_corpus(0, 0, 4, 0), "dimension must be at least 1"),
+            (lambda: synthetic_corpus(20, 21, 4, 0), "support size 21 out of range 0..20"),
+            (lambda: synthetic_corpus(20, -1, 4, 0), "support size -1 out of range 0..20"),
+            (lambda: draw_insertion_plan(0, 1, 0.5, 0), "dimension must be at least 1"),
+            (lambda: draw_deletion_plan(0, 1, 0), "dimension must be at least 1"),
+            (lambda: draw_insertion_plan(10, 2, 0.5, -1), "seed must be non-negative"),
+            (lambda: draw_deletion_plan(10, 2, -1), "seed must be non-negative"),
+            (lambda: draw_deletion_plan(10, 11, 0), "batch size 11 out of range 1..10"),
+            (lambda: draw_insertion_plan(10, 0, 0.5, 0), "batch size 0 out of range 1..10"),
+            (lambda: draw_deletion_plan(50, 8, 0).workload(0), "batch size 0 out of range 1..8"),
+            (lambda: draw_deletion_plan(50, 8, 0).workload(9), "batch size 9 out of range 1..8"),
+            (lambda: random_permutation(0, PermutationSeed(1)), "dimension must be at least 1"),
+            (lambda: PermutationSeed(-1), "seed must be non-negative"),
+            (lambda: PermutationSeed(0, -2), "index must be non-negative"),
+            (lambda: lift_hash(3, 0, 1), "inserted rank must be at least 1"),
+            (
+                lambda: ExperimentConfig("insert", num_perms=0, synthetic=(10, 3, 3)),
+                "num_perms must be at least 1",
+            ),
+            (
+                lambda: ExperimentConfig("insert", repetitions=0, synthetic=(10, 3, 3)),
+                "repetitions must be at least 1",
+            ),
+            (
+                lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), sample_size=0),
+                "sample_size must be at least 1",
+            ),
         ],
         ids=[
             "sketch-zero-threads", "sketch-negative-threads", "sketch-two-threads",
-            "sample-negative-seed",
+            "sample-negative-seed", "sample-zero-n", "vector-negative-dim", "value-at-past-dim",
+            "synthetic-zero-points", "synthetic-negative-seed", "synthetic-zero-dim",
+            "synthetic-support-past-dim", "synthetic-negative-support",
+            "insert-plan-zero-dim", "delete-plan-zero-dim",
+            "insert-plan-negative-seed", "delete-plan-negative-seed",
+            "plan-n-past-dim", "plan-zero-n", "workload-zero-n", "workload-n-past-plan",
+            "perm-zero-dim", "seed-negative", "seed-negative-index", "lift-hash-zero-rank",
+            "config-zero-perms", "config-zero-reps", "config-zero-sample",
         ],
     )
     def test_refuses_an_integer_out_of_range(self, call, message):
@@ -891,3 +930,68 @@ class TestScalarIntegers:
         got = call()
         assert got == plain()
         assert all(type(getattr(got, name)) is int for name in ints)
+
+
+def perms_8(t):
+    return random_permutation(8, PermutationSeed(0, t))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Permutation([[1, 2]]), "rank must be a flat sequence"),
+        (lambda: DeletionBatch(()), "batch must contain at least one position"),
+        (
+            lambda: engine.rmse_condensed(np.zeros(3), np.zeros(3), np.ones(2, dtype=bool)),
+            "estimate/truth/include shapes must match",
+        ),
+        (
+            lambda: drop_hash(2, SparseBinaryVector(5, (1, 5)), Permutation([2, 1, 3, 4]), 1),
+            "vector dimension 5 != permutation dimension 4",
+        ),
+        (
+            lambda: multiple_drop_hash(
+                2, SparseBinaryVector(5, (1, 5)), Permutation([2, 1, 3, 4]), (1,)
+            ),
+            "vector dimension 5 != permutation dimension 4",
+        ),
+        (lambda: minwise_uniformity_test(perms_8, {0, 3}, 40), "support elements must be at least 1"),
+        (
+            lambda: minwise_uniformity_test(lambda t: [1, 2, 3], {1, 2}, 40),
+            "perm_source must yield Permutation values",
+        ),
+        (
+            lambda: minwise_uniformity_test(perms_8, {1, 9}, 40),
+            "support element 9 exceeds permutation dimension 8",
+        ),
+        (
+            lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), scratch_perms="x"),
+            f"scratch_perms must be one of {SCRATCH_MODES}",
+        ),
+        (
+            lambda: ExperimentConfig("insert", synthetic=(10, 3, 3), master_seed=2**64),
+            "master_seed must fit in 64 bits",
+        ),
+        (
+            lambda: ExperimentConfig("insert", synthetic=(10, 20, 3)),
+            "synthetic corpus needs 0 <= support_size <= dim and points >= 1",
+        ),
+    ],
+    ids=[
+        "perm-nested-ranks", "empty-deletion", "rmse-shapes", "drop-hash-dims",
+        "multiple-drop-hash-dims", "uniformity-element-zero", "uniformity-not-a-perm",
+        "uniformity-element-past-dim", "config-scratch-perms", "config-seed-past-64-bits",
+        "config-support-past-dim",
+    ],
+)
+def test_refusal_gives_its_message(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_experiment_refuses_an_empty_vocabulary(tmp_path):
+    path = tmp_path / "docword.empty.txt"
+    path.write_text("1\n0\n0\n")
+    config = ExperimentConfig("insert", num_perms=2, n_features=(1,), data=str(path))
+    with pytest.raises(ValidationError, match="^corpus dimension must be positive$"):
+        run_experiment(config)
