@@ -147,6 +147,7 @@ def _uniformity_command(args) -> str:
         )
     if args.set_size < 2:
         raise ValidationError("--set-size must be at least 2")
+    PermutationSeed(args.seed)  # refuses a bad seed before it reaches numpy's draws
     lines = ["source,element,frequency"]
     summary = []
     for source in sources:

@@ -72,8 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
-        for name in ("num_perms", "master_seed", "repetitions"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name, least in (("num_perms", 1), ("master_seed", None), ("repetitions", 1)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
         if self.synthetic is not None:
             try:
                 synthetic = tuple(self.synthetic)
@@ -84,9 +84,7 @@ class ExperimentConfig:
             synthetic = tuple(_as_int(v, "synthetic") for v in synthetic)
             object.__setattr__(self, "synthetic", synthetic)
         if self.sample_size is not None:
-            object.__setattr__(self, "sample_size", _as_int(self.sample_size, "sample_size"))
-        if self.num_perms < 1:
-            raise ValidationError("num_perms must be at least 1")
+            object.__setattr__(self, "sample_size", _as_int(self.sample_size, "sample_size", 1))
         try:
             sizes = iter(self.n_features)
         except TypeError:
@@ -107,8 +105,6 @@ class ExperimentConfig:
             raise ValidationError(f"paths must be a non-empty subset of {PATHS}")
         if self.scratch_perms not in SCRATCH_MODES:
             raise ValidationError(f"scratch_perms must be one of {SCRATCH_MODES}")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be at least 1")
         if (self.data is None) == (self.synthetic is None):
             raise ValidationError("provide exactly one of data or synthetic")
         if self.synthetic is not None:
@@ -117,8 +113,6 @@ class ExperimentConfig:
                 raise ValidationError(
                     "synthetic corpus needs 0 <= support_size <= dim and points >= 1"
                 )
-        if self.sample_size is not None and self.sample_size < 1:
-            raise ValidationError("sample_size must be at least 1")
         object.__setattr__(self, "n_features", ns)
         object.__setattr__(self, "paths", paths)
 

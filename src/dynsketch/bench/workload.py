@@ -39,11 +39,7 @@ class WorkloadPlan:
     bits: tuple[int, ...]       # aligned with positions; all 0 for deletions
 
     def workload(self, n: int) -> Workload:
-        n = _as_int(n, "batch size")
-        if not 1 <= n <= len(self.positions):
-            raise ValidationError(
-                f"batch size {n} out of range 1..{len(self.positions)}"
-            )
+        n = _as_int(n, "batch size", 1, len(self.positions))
         pairs = sorted(zip(self.positions[:n], self.bits[:n]))
         positions = tuple(p for p, _ in pairs)
         if self.mode == "insert":
@@ -103,13 +99,5 @@ def draw_deletion_plan(dim: int, max_n: int, seed: int) -> WorkloadPlan:
 
 def _check(dim: int, max_n: int, seed: int) -> tuple[int, int, int]:
     """The plan's arguments, checked, as Python ints."""
-    dim = _as_int(dim, "dimension")
-    if dim < 1:
-        raise ValidationError("dimension must be at least 1")
-    max_n = _as_int(max_n, "batch size")
-    if not 1 <= max_n <= dim:
-        raise ValidationError(f"batch size {max_n} out of range 1..{dim}")
-    seed = _as_int(seed, "seed")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
-    return dim, max_n, seed
+    dim = _as_int(dim, "dimension", 1)
+    return dim, _as_int(max_n, "batch size", 1, dim), _as_int(seed, "seed", 0)

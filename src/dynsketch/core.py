@@ -55,25 +55,25 @@ def _check_rank_dim(dim: int) -> None:
         )
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as a Python int; a float, string or other non-integer is
-    refused rather than truncated."""
+def _as_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` as a Python int, at least ``least`` and at most ``most`` where
+    given; a float, string or other non-integer is refused rather than
+    truncated. ``most`` is read only with ``least``."""
     if not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} {value!r} is not an integer")
-    return int(value)
+    value = int(value)
+    if least is not None and (value < least or most is not None and value > most):
+        if most is not None:
+            raise ValidationError(f"{what} {value} out of range {least}..{most}")
+        if least == 0:
+            raise ValidationError(f"{what} must be non-negative")
+        raise ValidationError(f"{what} must be at least {least}")
+    return value
 
 
 def _is_bit(value) -> bool:
     """Whether ``value`` is an integer or boolean 0 or 1."""
     return isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1)
-
-
-def _as_position(position, dim: int) -> int:
-    """Coerce and check one 1-based position of a dimension-``dim`` frame."""
-    position = _as_int(position, "position")
-    if not 1 <= position <= dim:
-        raise ValidationError(f"position {position} out of range 1..{dim}")
-    return position
 
 
 def _as_positions(
@@ -171,9 +171,7 @@ class SparseBinaryVector(_Value):
     _key = ("dim", "_index")
 
     def __init__(self, dim: int, support=()):
-        dim = _as_int(dim, "dimension")
-        if dim < 0:
-            raise ValidationError("dimension must be non-negative")
+        dim = _as_int(dim, "dimension", 0)
         support = _as_positions(support, "support index", "support indices")
         if support and support[-1] > dim:
             raise ValidationError(
@@ -188,21 +186,6 @@ class SparseBinaryVector(_Value):
         if not all(map(_is_bit, bits)):
             raise ValidationError("dense entries must be 0 or 1")
         return cls(len(bits), tuple(i + 1 for i, b in enumerate(bits) if b == 1))
-
-    @classmethod
-    def _from_valid(cls, dim: int, support: np.ndarray) -> "SparseBinaryVector":
-        """Take ownership of a support array that is valid by construction,
-        skipping the checks.
-
-        For docword ingest only (:func:`dynsketch.ingest.load_docword`),
-        which passes each document a slice of one array of range-checked,
-        sorted and deduplicated word ids. The array is made read-only and
-        becomes the vector's :meth:`support_index`. The vector edits, which
-        build a fresh 1-based, strictly increasing int64 support at most
-        ``dim`` from a valid vector and batch once per point, call
-        :meth:`_build` themselves.
-        """
-        return cls._build(dim=dim, _index=support)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -269,7 +252,7 @@ class Permutation(_Value):
 
     def value_at(self, position: int) -> int:
         """The rank assigned to a 1-based position."""
-        return int(self.rank[_as_position(position, self.dim) - 1])
+        return int(self.rank[_as_int(position, "position", 1, self.dim) - 1])
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self.rank)
@@ -310,17 +293,6 @@ class Sketch(_Value):
         if not values:
             raise ValidationError("a sketch needs at least one slot")
         self._own(dict(row=np.array([0 if v is EMPTY else v for v in values], dtype=np.int32)))
-
-    @classmethod
-    def _from_row(cls, row: np.ndarray) -> "Sketch":
-        """Take ownership of a hash-matrix row that is valid by construction,
-        skipping the per-value checks.
-
-        For :func:`dynsketch.sketch.row_to_sketch` only: ``row`` is a fresh
-        non-empty 1-D int32 array with no negative entry. The array is made
-        read-only and becomes ``row``.
-        """
-        return cls._build(row=row)
 
     @property
     def values(self) -> tuple:
@@ -488,9 +460,7 @@ class SupportPack(_Value):
     def __init__(self, count: int, dim: int, flat, lengths):
         """``flat`` holds all 0-based supports concatenated, ``lengths`` the
         per-point support sizes."""
-        count, dim = _as_int(count, "point count"), _as_int(dim, "dimension")
-        if dim < 0:
-            raise ValidationError("dimension must be non-negative")
+        count, dim = _as_int(count, "point count"), _as_int(dim, "dimension", 0)
         flat = _int64_copy(flat, "packed support entries must be integers")
         lengths = _int64_copy(lengths, "support lengths must be integers")
         if flat.ndim != 1 or lengths.ndim != 1:

@@ -207,8 +207,10 @@ def _parse_blocks(binary, max_bytes: int) -> Corpus:
     # Document d's keys lie in d*stride+1 .. d*stride+W.
     bounds = np.searchsorted(keys, np.arange(1, num_docs + 2, dtype=np.int64) * stride).tolist()
     np.remainder(keys, stride, out=keys)
+    # Each document's slice of the checked, sorted and deduplicated word ids
+    # is a valid support.
     vectors = tuple(
-        SparseBinaryVector._from_valid(vocab_size, keys[lo:hi])
+        SparseBinaryVector._build(dim=vocab_size, _index=keys[lo:hi])
         for lo, hi in zip(bounds, bounds[1:])
     )
     return Corpus(num_docs=num_docs, vocab_size=vocab_size, vectors=vectors)
@@ -311,16 +313,12 @@ def write_docword(corpus: Corpus, stream) -> None:
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
     """Uniform sample of n documents without replacement, in document order."""
-    n = _as_int(n, "sample size")
-    if n < 1:
-        raise ValidationError("sample size must be at least 1")
+    n = _as_int(n, "sample size", 1)
     if n > corpus.num_docs:
         raise ValidationError(
             f"sample size {n} exceeds corpus size {corpus.num_docs}"
         )
-    seed = _as_int(seed, "seed")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
+    seed = _as_int(seed, "seed", 0)
     # Entropy ending in two zero words, which no [seed, i] list assembles
     # to: sampling shares no stream with a permutation or a bench stream.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))

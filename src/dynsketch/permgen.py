@@ -21,7 +21,6 @@ from dynsketch.core import (
     Permutation,
     ValidationError,
     _as_int,
-    _as_position,
     _as_positions,
     _check_rank_dim,
     _Value,
@@ -41,11 +40,7 @@ class PermutationSeed(_Value):
     _key = _args
 
     def __init__(self, seed: int, index: int = 0):
-        seed, index = _as_int(seed, "seed"), _as_int(index, "index")
-        if seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
-        if index < 0:
-            raise ValidationError("index must be a non-negative integer")
+        seed, index = _as_int(seed, "seed", 0), _as_int(index, "index", 0)
         if seed >= 2**64:
             raise ValidationError(f"seed {seed} must be below 2**64")
         if index >= 2**32:
@@ -76,9 +71,7 @@ def random_permutation(d: int, seed: PermutationSeed) -> Permutation:
     int64 path, which fixes the order for a seed; the ranks are narrowed to
     int32 as 1 is added.
     """
-    d = _as_int(d, "dimension")
-    if d < 1:
-        raise ValidationError("dimension must be at least 1")
+    d = _as_int(d, "dimension", 1)
     _check_rank_dim(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed._entropy()))
     rank = np.empty(d, dtype=np.int32)
@@ -93,7 +86,7 @@ def lift_perm(pi: Permutation, position: int) -> Permutation:
     or above it moves up by one, so the relative order of the original
     elements is unchanged and the output is a bijection on {1..dim+1}.
     """
-    position = _as_position(position, pi.dim)
+    position = _as_int(position, "position", 1, pi.dim)
     _check_rank_dim(pi.dim + 1)
     rank = pi.rank
     taken = rank[position - 1]
@@ -113,7 +106,7 @@ def drop_perm(pi: Permutation, position: int) -> Permutation:
     one, yielding a bijection on {1..dim-1}. Exact left inverse of
     :func:`lift_perm` at the same position.
     """
-    position = _as_position(position, pi.dim)
+    position = _as_int(position, "position", 1, pi.dim)
     rank = pi.rank
     removed = rank[position - 1]
     out = np.concatenate([rank[: position - 1], rank[position:]])

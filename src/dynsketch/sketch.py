@@ -52,7 +52,6 @@ from dynsketch.core import (
     ValidationError,
     _as_hash,
     _as_int,
-    _as_position,
     _check_rank_dim,
     _is_bit,
     _members,
@@ -136,9 +135,7 @@ def lift_hash(old_hash: HashValue, inserted_rank: int, bit: int) -> HashValue:
     """
     if not _is_bit(bit):
         raise ValidationError("bit must be 0 or 1")
-    inserted_rank = _as_int(inserted_rank, "inserted rank")
-    if inserted_rank < 1:
-        raise ValidationError("inserted rank must be at least 1")
+    inserted_rank = _as_int(inserted_rank, "inserted rank", 1)
     old_hash = _as_hash(old_hash)
     if old_hash is EMPTY:
         return inserted_rank if bit == 1 else EMPTY
@@ -202,7 +199,7 @@ def drop_hash(
     """
     if vector.dim != pi.dim:
         raise _dim_mismatch(vector.dim, pi.dim)
-    position = _as_position(position, vector.dim)
+    position = _as_int(position, "position", 1, vector.dim)
     old_hash = _as_hash(old_hash)
     if old_hash is EMPTY:
         return EMPTY
@@ -577,7 +574,7 @@ def row_to_sketch(row: np.ndarray) -> Sketch:
     Sketch constructor and its messages.
     """
     if row.dtype == np.int32 and row.ndim == 1 and row.size and row.min() >= 0:
-        return Sketch._from_row(row.copy())
+        return Sketch._build(row=row.copy())
     return Sketch(tuple(EMPTY if v == 0 else v for v in row.tolist()))
 
 

@@ -500,8 +500,8 @@ class TestVectorContract:
     def test_edit_built_and_constructed_vectors_agree(self, case):
         vector, positions, bits = case
         insertion, deletion = InsertionBatch(positions, bits), DeletionBatch(positions)
-        wrapped = SparseBinaryVector._from_valid(
-            vector.dim, np.array(vector.support, dtype=np.int64)
+        wrapped = SparseBinaryVector._build(
+            dim=vector.dim, _index=np.array(vector.support, dtype=np.int64)
         )
         pairs = [
             (insert_features(vector, insertion), insert_features_bisect(vector, insertion)),
@@ -592,8 +592,9 @@ def test_value_types_refuse_rebinding(value):
     assert repr(value) == before
 
 
-# One check behind every scalar position (core._as_position): a float or a
-# string is refused with the message a position sequence gives, not indexed.
+# One check behind every scalar position (core._as_int with the bounds
+# 1..dim): a float or a string is refused with the message a position
+# sequence gives, not indexed.
 PERM_5 = Permutation([3, 1, 4, 5, 2])
 SCALAR_POSITION_TAKERS = {
     "value_at": lambda position: PERM_5.value_at(position),
@@ -746,7 +747,6 @@ class TestScalarIntegers:
             (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 2, -1), "seed must be non-negative"),
             (lambda: sample_corpus(synthetic_corpus(10, 2, 3, 0), 0, 1), "sample size must be at least 1"),
             (lambda: SparseBinaryVector(-1), "dimension must be non-negative"),
-            (lambda: PERM_5.value_at(6), "position 6 out of range 1..5"),
             (lambda: synthetic_corpus(20, 3, 0, 0), "point count must be at least 1"),
             (lambda: synthetic_corpus(20, 3, 4, -1), "seed must be non-negative"),
             (lambda: synthetic_corpus(0, 0, 4, 0), "dimension must be at least 1"),
@@ -779,7 +779,7 @@ class TestScalarIntegers:
         ],
         ids=[
             "sketch-zero-threads", "sketch-negative-threads", "sketch-two-threads",
-            "sample-negative-seed", "sample-zero-n", "vector-negative-dim", "value-at-past-dim",
+            "sample-negative-seed", "sample-zero-n", "vector-negative-dim",
             "synthetic-zero-points", "synthetic-negative-seed", "synthetic-zero-dim",
             "synthetic-support-past-dim", "synthetic-negative-support",
             "insert-plan-zero-dim", "delete-plan-zero-dim",
